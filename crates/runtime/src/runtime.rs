@@ -1619,7 +1619,9 @@ impl RuntimeRun {
 /// # Errors
 ///
 /// Propagates [`TraceError`]s from sequence reconstruction (mismatched or
-/// truncated logs, e.g. from a crashed node).
+/// truncated logs, e.g. from a crashed node), and
+/// [`TraceError::StampMismatch`] when a message's send and receive entries
+/// carry different stamps.
 pub fn reconstruct_from_logs(
     logs: &[Vec<LogEntry>],
 ) -> Result<(SyncComputation, MessageTimestamps), TraceError> {
@@ -1637,23 +1639,28 @@ pub fn reconstruct_from_logs(
         .collect();
     let computation = SyncComputation::from_process_sequences(sequences)?;
     // Re-associate stamps: process p's i-th logged rendezvous is its
-    // i-th message in the rebuilt computation's local order.
-    let mut stamps: Vec<Option<VectorTime>> = vec![None; computation.message_count()];
+    // i-th message in the rebuilt computation's local order. Both
+    // endpoints must have logged the same stamp.
+    let mut stamps: Vec<Option<&VectorTime>> = vec![None; computation.message_count()];
     for (p, log) in logs.iter().enumerate() {
         let local = computation.process_messages(p);
         let mut next = 0usize;
         for entry in log {
-            let stamp = match entry {
-                LogEntry::Sent { stamp, .. } | LogEntry::Received { stamp, .. } => stamp,
+            let (key, stamp) = match entry {
+                LogEntry::Sent { key, stamp, .. } | LogEntry::Received { key, stamp, .. } => {
+                    (key, stamp)
+                }
                 LogEntry::Internal => continue,
             };
             let id = local[next];
             next += 1;
-            match &stamps[id.0] {
-                None => stamps[id.0] = Some(stamp.clone()),
-                Some(prev) => {
-                    // Both endpoints logged the same timestamp.
-                    debug_assert_eq!(prev, stamp, "endpoint stamps disagree for {id}");
+            match stamps[id.0] {
+                None => stamps[id.0] = Some(stamp),
+                Some(prev) if prev == stamp => {}
+                Some(_) => {
+                    return Err(TraceError::StampMismatch {
+                        message: *key as usize,
+                    })
                 }
             }
         }
@@ -1665,7 +1672,10 @@ pub fn reconstruct_from_logs(
     let vectors: Vec<VectorTime> = stamps
         .into_iter()
         .enumerate()
-        .map(|(id, s)| s.ok_or(TraceError::MalformedSequences { message: id }))
+        .map(|(id, s)| {
+            s.cloned()
+                .ok_or(TraceError::MalformedSequences { message: id })
+        })
         .collect::<Result<_, _>>()?;
     Ok((computation, MessageTimestamps::new(vectors)))
 }
@@ -1710,6 +1720,27 @@ mod tests {
         // Scalar components strictly increase: the path is a star (Lemma 1).
         let vals: Vec<u64> = stamps.vectors().iter().map(|v| v.component(0)).collect();
         assert_eq!(vals, (1..=10).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn disagreeing_endpoint_stamps_are_a_typed_error() {
+        let (rt, behaviors) = ping_pong(3);
+        let mut logs = rt.run(behaviors).unwrap().logs().to_vec();
+        // Corrupt the receiver's copy of one rendezvous stamp.
+        let (key, stamp) = logs[1]
+            .iter_mut()
+            .find_map(|entry| match entry {
+                LogEntry::Received { key, stamp, .. } => Some((*key, stamp)),
+                _ => None,
+            })
+            .unwrap();
+        *stamp = VectorTime::from(vec![stamp.component(0) + 100]);
+        assert_eq!(
+            reconstruct_from_logs(&logs).unwrap_err(),
+            TraceError::StampMismatch {
+                message: key as usize
+            }
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use log::{
     read_trace_dir, trace_dirs, validate_trace_name, RecoveredTrace, TraceStore, TraceTailReader,
     DEFAULT_SNAPSHOT_EVERY, LOG_FILE, SNAPSHOT_FILE,
 };
-pub use record::{FileScan, Meta, ReconfigRecord, StampRecord, TailScan, FORMAT_VERSION};
+pub use record::{FileScan, Meta, ReconfigRecord, StampRecord, FORMAT_VERSION};
 pub use replay::{
     materialize, materialize_latest_epoch, persist_logs, persist_logs_with_reconfigs,
     record_from_event, record_from_log_entry, spawn_writer, StoreWriter,

@@ -1,5 +1,5 @@
 //! The trace store writer ([`TraceStore`]) and directory-level recovery
-//! ([`read_trace_dir`]).
+//! ([`TraceTailReader`], [`read_trace_dir`]).
 //!
 //! ## Snapshot / compaction lifecycle
 //!
@@ -24,16 +24,17 @@
 //!
 //! ## Recovery invariants
 //!
-//! [`read_trace_dir`] concatenates both files' valid record prefixes
-//! (torn tails dropped by the scan layer), then:
+//! Recovery takes both files' valid record prefixes (torn tails dropped
+//! by the scan layer), snapshot first, then:
 //!
 //! 1. **dedup** — one record per `(process, pseq)` coordinate, first
 //!    occurrence wins;
 //! 2. **dense prefix** — each process keeps its longest gap-free `pseq`
 //!    prefix (a gap means later records of that process are unanchored);
-//! 3. **matched keys** — iteratively truncate each process's log at the
-//!    first entry whose rendezvous partner record is missing, until
-//!    stable.
+//! 3. **matched keys** — the greatest family of prefixes of those logs in
+//!    which every kept entry's rendezvous partner record is kept too
+//!    (counted per key: a send needs a receive with its key, and vice
+//!    versa).
 //!
 //! The result is the largest causally consistent prefix family of the
 //! original run: local orders are prefixes, every kept send has its kept
@@ -41,11 +42,18 @@
 //! uninterrupted in-memory run would have produced from the same prefix.
 //! A quiesced, fully flushed store recovers the *whole* run.
 //!
+//! There is one implementation of these rules: [`TraceTailReader`] keeps
+//! them assembled record by record, and [`read_trace_dir`] is a fresh
+//! reader's first poll. A warm poll reads only the log bytes appended
+//! since the last one and runs the matched-keys rule as a worklist over
+//! the unmatched frontier, so its cost follows what changed, not the
+//! length of the trace.
+//!
 //! [`reconstruct_from_logs`]: synctime_runtime::reconstruct_from_logs
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs::{self, File};
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use synctime_core::wire;
@@ -53,7 +61,7 @@ use synctime_runtime::LogEntry;
 use synctime_trace::ProcessId;
 
 use crate::record::{
-    encode_meta, encode_reconfig, encode_record, scan_file, scan_meta, scan_tail, Meta,
+    encode_meta, encode_reconfig, encode_record, scan_meta, walk_records, Meta, Payload,
     ReconfigRecord, StampRecord, FORMAT_VERSION,
 };
 use crate::StoreError;
@@ -346,7 +354,7 @@ impl TraceStore {
 }
 
 /// What recovery reassembled from one trace directory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveredTrace {
     /// The run's process count (from the META records).
     pub process_count: usize,
@@ -370,39 +378,10 @@ pub struct RecoveredTrace {
     pub reconfigs: Vec<ReconfigRecord>,
 }
 
-/// Converts a surviving record into the [`LogEntry`] replay feeds to
-/// reconstruction. Stamp bytes were validated at scan time, so a decode
-/// failure here means the scan let something through — surfaced as a
-/// typed corruption error, never a panic.
-fn entry_of(rec: &StampRecord) -> Result<LogEntry, StoreError> {
-    let stamp_of = |bytes: &[u8]| {
-        wire::decode_full(bytes).ok_or_else(|| {
-            StoreError::Corrupt("stamp bytes failed to decode after a valid scan".to_string())
-        })
-    };
-    Ok(match rec {
-        StampRecord::Sent {
-            peer, key, stamp, ..
-        } => LogEntry::Sent {
-            to: *peer as ProcessId,
-            key: *key,
-            stamp: stamp_of(stamp)?,
-        },
-        StampRecord::Received {
-            peer, key, stamp, ..
-        } => LogEntry::Received {
-            from: *peer as ProcessId,
-            key: *key,
-            stamp: stamp_of(stamp)?,
-        },
-        StampRecord::Internal { .. } => LogEntry::Internal,
-    })
-}
-
-/// Recovers one trace directory into per-process logs. See the module
-/// docs for the recovery invariants; this function is the crash-recovery
-/// entry point (`serve-query --store-dir` calls it per trace, and again
-/// on every poll while a trace grows).
+/// Recovers one trace directory into per-process logs: a fresh
+/// [`TraceTailReader`]'s first poll, so one-shot recovery and tailing
+/// share one assembly path. See the module docs for the recovery
+/// invariants; this is the crash-recovery entry point.
 ///
 /// # Errors
 ///
@@ -412,43 +391,12 @@ fn entry_of(rec: &StampRecord) -> Result<LogEntry, StoreError> {
 /// Torn tails and partial records are *not* errors — they shorten the
 /// recovered prefix instead.
 pub fn read_trace_dir(dir: &Path) -> Result<RecoveredTrace, StoreError> {
-    let read_scan = |name: &str| -> Result<Option<crate::record::FileScan>, StoreError> {
-        let path = dir.join(name);
-        if !path.exists() {
-            return Ok(None);
-        }
-        Ok(Some(scan_file(&fs::read(&path)?)))
-    };
-    let snap = read_scan(SNAPSHOT_FILE)?;
-    let log = read_scan(LOG_FILE)?;
-    let mut torn_bytes = 0usize;
-    let mut metas: Vec<Meta> = Vec::new();
-    let mut all: Vec<StampRecord> = Vec::new();
-    let mut reconfigs: Vec<ReconfigRecord> = Vec::new();
-    for scan in [snap, log].into_iter().flatten() {
-        torn_bytes += scan.torn_bytes;
-        if let Some(meta) = scan.meta {
-            metas.push(meta);
-            all.extend(scan.records);
-            reconfigs.extend(scan.reconfigs);
-        }
-    }
-    assemble(dir, &metas, all, reconfigs, torn_bytes)
+    TraceTailReader::new(dir).poll()
 }
 
-/// The pure half of recovery: applies the dedup / dense-prefix /
-/// matched-keys invariants (module docs) to scanned records, however they
-/// were gathered — a full directory read ([`read_trace_dir`]) or a
-/// tailing reader's accumulated head + tails ([`TraceTailReader`]). Both
-/// paths feeding identical record sequences through this function is what
-/// makes incremental tailing answer-equivalent to full re-reads.
-fn assemble(
-    dir: &Path,
-    metas: &[Meta],
-    all: Vec<StampRecord>,
-    reconfigs: Vec<ReconfigRecord>,
-    torn_bytes: usize,
-) -> Result<RecoveredTrace, StoreError> {
+/// Checks the META records of the files present (snapshot first) and
+/// returns the run's process count and highest generation.
+fn check_metas(dir: &Path, metas: &[Meta]) -> Result<(usize, u64), StoreError> {
     let Some(first) = metas.first().copied() else {
         return Err(StoreError::Corrupt(format!(
             "no readable store metadata in {}",
@@ -466,96 +414,300 @@ fn assemble(
             "snapshot and log disagree on the process count".to_string(),
         ));
     }
-    let process_count = first.process_count as usize;
     let generation = metas.iter().map(|m| m.generation).max().unwrap_or(0);
-
-    // Dedup by (process, pseq), first occurrence wins (snapshot records
-    // precede log records, so a stale-log overlap resolves to the
-    // snapshot's copy — which is byte-identical anyway).
-    let parsed = all.len();
-    let mut per: Vec<BTreeMap<u64, StampRecord>> =
-        (0..process_count).map(|_| BTreeMap::new()).collect();
-    for rec in all {
-        let Some(map) = per.get_mut(rec.process() as usize) else {
-            continue; // record names a process beyond the META's count
-        };
-        map.entry(rec.pseq()).or_insert(rec);
-    }
-
-    // Longest dense pseq prefix per process.
-    let mut logs: Vec<Vec<LogEntry>> = Vec::with_capacity(process_count);
-    for map in &per {
-        let mut log = Vec::with_capacity(map.len());
-        for (i, (&pseq, rec)) in map.iter().enumerate() {
-            if pseq != i as u64 {
-                break;
-            }
-            log.push(entry_of(rec)?);
-        }
-        logs.push(log);
-    }
-
-    match_keys_fixpoint(&mut logs);
-
-    // Epoch boundaries: sort by epoch (stable, so the first-written record
-    // of a duplicated epoch wins after dedup), then keep only boundaries
-    // the recovered logs fully cover.
-    let mut boundaries = reconfigs;
-    boundaries.sort_by_key(|r| r.epoch);
-    boundaries.dedup_by_key(|r| r.epoch);
-    boundaries.retain(|r| {
-        r.cuts.len() == process_count
-            && r.cuts
-                .iter()
-                .zip(&logs)
-                .all(|(&cut, log)| cut as usize <= log.len())
-    });
-
-    let records = logs.iter().map(Vec::len).sum();
-    Ok(RecoveredTrace {
-        process_count,
-        generation,
-        logs,
-        records,
-        torn_bytes,
-        dropped_records: parsed - records,
-        reconfigs: boundaries,
-    })
+    Ok((first.process_count as usize, generation))
 }
 
-/// Fixpoint: truncate each log at its first entry whose rendezvous
-/// partner is missing, until no truncation happens. Terminates because
-/// every round that changes anything strictly shrinks the total. Shared
-/// by whole-trace recovery and per-epoch segment materialisation
-/// ([`materialize_latest_epoch`](crate::materialize_latest_epoch)), which
-/// must re-run it because message keys are only unique within an epoch.
-pub(crate) fn match_keys_fixpoint(logs: &mut [Vec<LogEntry>]) {
-    loop {
-        let mut sent: BTreeMap<u64, usize> = BTreeMap::new();
-        let mut received: BTreeMap<u64, usize> = BTreeMap::new();
-        for log in logs.iter() {
-            for entry in log {
-                match entry {
-                    LogEntry::Sent { key, .. } => *sent.entry(*key).or_default() += 1,
-                    LogEntry::Received { key, .. } => *received.entry(*key).or_default() += 1,
-                    LogEntry::Internal => {}
+/// Where one keyed entry sits in the dense logs.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    process: usize,
+    index: usize,
+    receive: bool,
+}
+
+/// One message key's entries across the dense logs.
+#[derive(Debug, Default)]
+struct KeyEntries {
+    /// Sent entries carrying the key.
+    sent: usize,
+    /// Received entries carrying the key.
+    received: usize,
+    /// Every entry carrying the key (normally one send and one receive).
+    slots: Vec<Slot>,
+}
+
+impl KeyEntries {
+    /// The count of entries of one kind.
+    fn count(&mut self, receive: bool) -> &mut usize {
+        if receive {
+            &mut self.received
+        } else {
+            &mut self.sent
+        }
+    }
+}
+
+/// Dense per-process logs indexed for the **matched-keys** rule: the
+/// greatest family of log prefixes in which every kept entry's key has at
+/// least one kept entry of the opposite kind (a send needs a receive and
+/// vice versa).
+///
+/// Entries arrive one at a time ([`MatchedLogs::push`]); each updates its
+/// key's counts and the set of entries that no opposite-kind entry
+/// matches anywhere. [`MatchedLogs::matched_lens`] then finds the family
+/// with a worklist: cut each process at its first unmatched entry, and
+/// whenever a cut drops a key's last send (or receive), cut the processes
+/// holding that key's receives (or sends) too. A cut only ever removes
+/// entries outside the greatest family, and the cascade stops once no
+/// kept entry lacks a partner, so the result is exactly that family —
+/// what rounds of "count, then truncate at the first partnerless entry"
+/// converge to. The work is the unmatched frontier plus the entries the
+/// cuts remove, not the whole trace.
+#[derive(Debug)]
+pub(crate) struct MatchedLogs {
+    logs: Vec<Vec<LogEntry>>,
+    keys: HashMap<u64, KeyEntries>,
+    /// Per process, the indices of entries whose key has no entry of the
+    /// opposite kind in `logs`.
+    unmatched: Vec<BTreeSet<usize>>,
+}
+
+impl MatchedLogs {
+    /// Empty logs for `process_count` processes.
+    pub(crate) fn new(process_count: usize) -> Self {
+        MatchedLogs {
+            logs: vec![Vec::new(); process_count],
+            keys: HashMap::new(),
+            unmatched: vec![BTreeSet::new(); process_count],
+        }
+    }
+
+    /// The dense logs so far.
+    pub(crate) fn logs(&self) -> &[Vec<LogEntry>] {
+        &self.logs
+    }
+
+    /// Appends `entry` to `process`'s log.
+    pub(crate) fn push(&mut self, process: usize, entry: LogEntry) {
+        let index = self.logs[process].len();
+        if let Some((key, receive)) = key_of(&entry) {
+            let k = self.keys.entry(key).or_default();
+            if *k.count(receive) == 0 {
+                // The key's first entry of this kind matches every
+                // opposite-kind entry already logged.
+                for s in k.slots.iter().filter(|s| s.receive != receive) {
+                    self.unmatched[s.process].remove(&s.index);
+                }
+            }
+            *k.count(receive) += 1;
+            if *k.count(!receive) == 0 {
+                self.unmatched[process].insert(index);
+            }
+            k.slots.push(Slot {
+                process,
+                index,
+                receive,
+            });
+        }
+        self.logs[process].push(entry);
+    }
+
+    /// Per process, the length of its prefix in the greatest matched
+    /// prefix family (see the type docs).
+    pub(crate) fn matched_lens(&mut self) -> Vec<usize> {
+        let mut lens: Vec<usize> = self.logs.iter().map(Vec::len).collect();
+        let mut work: Vec<(usize, usize)> = self
+            .unmatched
+            .iter()
+            .enumerate()
+            .filter_map(|(p, set)| set.first().map(|&i| (p, i)))
+            .collect();
+        // The cascade borrows the keys' counts as the kept family's counts
+        // and gives them back below.
+        while let Some((p, cut)) = work.pop() {
+            let old = lens[p];
+            if cut >= old {
+                continue;
+            }
+            lens[p] = cut;
+            for (key, receive) in self.logs[p][cut..old].iter().filter_map(key_of) {
+                let Some(k) = self.keys.get_mut(&key) else {
+                    continue;
+                };
+                let left = k.count(receive);
+                *left -= 1;
+                if *left == 0 {
+                    work.extend(
+                        k.slots
+                            .iter()
+                            .filter(|s| s.receive != receive && s.index < lens[s.process])
+                            .map(|s| (s.process, s.index)),
+                    );
                 }
             }
         }
-        let mut changed = false;
-        for log in logs.iter_mut() {
-            let cut = log.iter().position(|entry| match entry {
-                LogEntry::Sent { key, .. } => received.get(key).copied().unwrap_or(0) == 0,
-                LogEntry::Received { key, .. } => sent.get(key).copied().unwrap_or(0) == 0,
-                LogEntry::Internal => false,
-            });
-            if let Some(cut) = cut {
-                log.truncate(cut);
-                changed = true;
+        for (log, &len) in self.logs.iter().zip(&lens) {
+            for (key, receive) in log[len..].iter().filter_map(key_of) {
+                if let Some(k) = self.keys.get_mut(&key) {
+                    *k.count(receive) += 1;
+                }
             }
         }
-        if !changed {
-            break;
+        lens
+    }
+
+    /// The greatest matched prefix family itself, consuming the index.
+    pub(crate) fn into_matched(mut self) -> Vec<Vec<LogEntry>> {
+        let lens = self.matched_lens();
+        let mut logs = self.logs;
+        for (log, len) in logs.iter_mut().zip(lens) {
+            log.truncate(len);
+        }
+        logs
+    }
+}
+
+/// An entry's message key and whether it is a receive; `None` for an
+/// internal event.
+fn key_of(entry: &LogEntry) -> Option<(u64, bool)> {
+    match entry {
+        LogEntry::Sent { key, .. } => Some((*key, false)),
+        LogEntry::Received { key, .. } => Some((*key, true)),
+        LogEntry::Internal => None,
+    }
+}
+
+/// The recovery invariants applied record by record: everything a trace
+/// directory's records assemble into, kept current as records arrive.
+#[derive(Debug)]
+struct Assembly {
+    process_count: usize,
+    generation: u64,
+    /// Entry records ingested, kept or not.
+    parsed: usize,
+    /// Per process, first-seen records beyond a `pseq` gap, waiting for
+    /// it to fill.
+    pending: Vec<BTreeMap<u64, LogEntry>>,
+    /// Per process, the gap-free `pseq` prefix.
+    dense: MatchedLogs,
+    /// Epoch boundaries by epoch; the first record of an epoch wins.
+    reconfigs: BTreeMap<u64, ReconfigRecord>,
+}
+
+impl Assembly {
+    fn new(process_count: usize, generation: u64) -> Self {
+        Assembly {
+            process_count,
+            generation,
+            parsed: 0,
+            pending: vec![BTreeMap::new(); process_count],
+            dense: MatchedLogs::new(process_count),
+            reconfigs: BTreeMap::new(),
+        }
+    }
+
+    /// Takes one scanned record, decoding its stamp — the only decode a
+    /// record gets. An entry is dropped if its process is beyond the
+    /// META's count or its coordinate was seen before (first occurrence
+    /// wins), parked if it lies beyond a gap, and appended otherwise,
+    /// together with every parked entry the append makes contiguous.
+    /// Returns `false`, refusing the record and ending the scanned
+    /// prefix, when the stamp bytes do not decode.
+    fn take(&mut self, payload: Payload<'_>) -> bool {
+        let (process, pseq, entry) = match payload {
+            Payload::Sent {
+                process,
+                pseq,
+                peer,
+                key,
+                stamp,
+            } => {
+                let Some(stamp) = wire::decode_full(stamp) else {
+                    return false;
+                };
+                let to = peer as ProcessId;
+                (process, pseq, LogEntry::Sent { to, key, stamp })
+            }
+            Payload::Received {
+                process,
+                pseq,
+                peer,
+                key,
+                stamp,
+            } => {
+                let Some(stamp) = wire::decode_full(stamp) else {
+                    return false;
+                };
+                let from = peer as ProcessId;
+                (process, pseq, LogEntry::Received { from, key, stamp })
+            }
+            Payload::Internal { process, pseq } => (process, pseq, LogEntry::Internal),
+            Payload::Reconfig(rec) => {
+                self.reconfigs.entry(rec.epoch).or_insert(rec);
+                return true;
+            }
+        };
+        self.parsed += 1;
+        if process >= self.process_count as u64 {
+            return true;
+        }
+        let process = process as usize;
+        let next = self.dense.logs()[process].len() as u64;
+        if pseq < next {
+            return true;
+        }
+        if pseq > next {
+            self.pending[process].entry(pseq).or_insert(entry);
+            return true;
+        }
+        self.dense.push(process, entry);
+        let pending = &mut self.pending[process];
+        while let Some(entry) = pending.remove(&(self.dense.logs()[process].len() as u64)) {
+            self.dense.push(process, entry);
+        }
+        true
+    }
+
+    /// Takes the records of `bytes` from `start` on (see
+    /// [`walk_records`]) and returns where the accepted prefix ends.
+    fn take_all(&mut self, bytes: &[u8], start: usize) -> usize {
+        let mut pos = start;
+        walk_records(bytes, &mut pos, |payload| self.take(payload));
+        pos
+    }
+
+    /// The recovered trace as of the records ingested so far.
+    fn recovered(&mut self, torn_bytes: usize) -> RecoveredTrace {
+        let lens = self.dense.matched_lens();
+        let logs: Vec<Vec<LogEntry>> = self
+            .dense
+            .logs()
+            .iter()
+            .zip(&lens)
+            .map(|(log, &len)| log[..len].to_vec())
+            .collect();
+        let reconfigs = self
+            .reconfigs
+            .values()
+            .filter(|r| {
+                r.cuts.len() == self.process_count
+                    && r.cuts
+                        .iter()
+                        .zip(&lens)
+                        .all(|(&cut, &len)| cut as usize <= len)
+            })
+            .cloned()
+            .collect();
+        let records = lens.iter().sum();
+        RecoveredTrace {
+            process_count: self.process_count,
+            generation: self.generation,
+            logs,
+            records,
+            torn_bytes,
+            dropped_records: self.parsed - records,
+            reconfigs,
         }
     }
 }
@@ -565,33 +717,37 @@ pub(crate) fn match_keys_fixpoint(logs: &mut [Vec<LogEntry>]) {
 /// file's head always captures the whole META.
 const META_HEAD_BYTES: usize = 8 + 1 + 3 * 10;
 
-/// An incremental reader for a growing trace directory.
+/// An incremental reader for a growing trace directory, and the one
+/// assembly path recovery has ([`read_trace_dir`] is a fresh reader's
+/// first poll).
 ///
-/// [`read_trace_dir`] re-reads and re-scans both files on every call —
-/// fine for one-shot recovery, quadratic for a tailer polling a live
-/// trace. This reader remembers the log's scanned byte offset and, while
-/// the generation is unchanged, recovers only the appended tail
-/// ([`scan_tail`]); a generation bump (compaction) or a shrunk log falls
-/// back to one full re-read. Either way the accumulated record sequence
-/// fed to [`assemble`] is byte-for-byte the sequence a fresh
-/// [`read_trace_dir`] would scan, so every poll's answer is identical to
-/// a full re-read's (asserted by this crate's tests).
+/// The reader keeps the recovery invariants assembled: per process the
+/// gap-free log plus records parked beyond a gap, per key the entry
+/// counts and positions the matched-keys rule needs, and the log's
+/// scanned byte offset. While the log's generation is unchanged, a poll
+/// reads only the bytes past that offset, decodes each new record once
+/// and re-runs the matched-keys worklist over the unmatched frontier. A
+/// cold read — the first poll, a generation bump
+/// (compaction), a shrunk log, or an unreadable log META — discards the
+/// state and feeds the snapshot and then the whole log through the same
+/// ingestion. Either way a poll answers exactly what recovery over the
+/// files as they are now would.
 #[derive(Debug)]
 pub struct TraceTailReader {
     dir: PathBuf,
-    /// The log generation the accumulated state belongs to; `None` until
-    /// the first successful read.
+    /// The log generation `state` was read under; `None` until a read
+    /// found a readable log META (no warm poll without one).
     generation: Option<u64>,
-    /// Bytes of `log.st` scanned into the accumulated records (META
-    /// included). A torn final record stays beyond this offset and is
-    /// re-tried on the next poll, once its bytes complete.
+    /// Bytes of `log.st` ingested (META included). A torn final record
+    /// stays beyond this offset and is re-tried on the next poll, once
+    /// its bytes complete.
     log_offset: usize,
-    metas: Vec<Meta>,
-    records: Vec<StampRecord>,
-    reconfigs: Vec<ReconfigRecord>,
     /// Torn bytes of the snapshot file (the log's torn tail is recomputed
     /// per poll — it may still complete).
     snap_torn: usize,
+    state: Option<Assembly>,
+    /// Reused buffer for the appended bytes.
+    tail: Vec<u8>,
 }
 
 impl TraceTailReader {
@@ -604,126 +760,120 @@ impl TraceTailReader {
             dir: dir.to_path_buf(),
             generation: None,
             log_offset: 0,
-            metas: Vec::new(),
-            records: Vec::new(),
-            reconfigs: Vec::new(),
             snap_torn: 0,
+            state: None,
+            tail: Vec::new(),
         }
     }
 
-    /// Drops all accumulated state so the next poll re-reads everything.
-    fn reset(&mut self) {
-        self.generation = None;
-        self.log_offset = 0;
-        self.metas.clear();
-        self.records.clear();
-        self.reconfigs.clear();
-        self.snap_torn = 0;
-    }
-
-    /// Re-reads snapshot and log in full, replacing the accumulated
-    /// state — the cold path (first poll, compaction, or shrunk log).
-    /// Returns the log's torn-tail byte count as of this read (transient:
-    /// those bytes may complete by the next poll, so they are not cached).
-    fn full_read(&mut self) -> Result<usize, StoreError> {
-        self.reset();
-        let snap_path = self.dir.join(SNAPSHOT_FILE);
-        if snap_path.exists() {
-            let scan = scan_file(&fs::read(&snap_path)?);
-            self.snap_torn = scan.torn_bytes;
-            if let Some(meta) = scan.meta {
-                self.metas.push(meta);
-                self.records.extend(scan.records);
-                self.reconfigs.extend(scan.reconfigs);
-            }
-        }
-        let mut log_torn = 0usize;
-        let log_path = self.dir.join(LOG_FILE);
-        if log_path.exists() {
-            let bytes = fs::read(&log_path)?;
-            let scan = scan_file(&bytes);
-            if let Some(meta) = scan.meta {
-                self.generation = Some(meta.generation);
-                self.log_offset = bytes.len() - scan.torn_bytes;
-                log_torn = scan.torn_bytes;
-                self.metas.push(meta);
-                self.records.extend(scan.records);
-                self.reconfigs.extend(scan.reconfigs);
-            }
-        }
-        Ok(log_torn)
-    }
-
-    /// Recovers the trace as of now: a full read on the first call or
-    /// after a compaction, an append-tail read otherwise. The result is
-    /// always identical to what [`read_trace_dir`] would return at this
-    /// instant.
+    /// Recovers the trace as of now: a cold read on the first call or
+    /// after a compaction, an appended-tail read otherwise.
     ///
     /// # Errors
     ///
-    /// Exactly [`read_trace_dir`]'s errors: [`StoreError::Io`] when a
-    /// file cannot be read, [`StoreError::Corrupt`] when no META is
-    /// readable or the files disagree. The accumulated state survives an
-    /// error and the next poll retries.
+    /// [`StoreError::Io`] when a file cannot be read,
+    /// [`StoreError::Corrupt`] when no META is readable or the files
+    /// disagree. A warm poll's error leaves the state untouched; after a
+    /// cold read's error the next poll reads cold again.
     pub fn poll(&mut self) -> Result<RecoveredTrace, StoreError> {
-        let log_path = self.dir.join(LOG_FILE);
-        let head = if log_path.exists() {
-            let mut head = vec![0u8; META_HEAD_BYTES];
-            let n = read_head(&log_path, &mut head)?;
-            head.truncate(n);
-            scan_meta(&head)
-        } else {
-            None
-        };
-        match (head, self.generation) {
-            // Warm path: same generation — only the appended tail is new.
-            (Some((meta, _)), Some(generation)) if meta.generation == generation => {
-                let bytes = fs::read(&log_path)?;
-                let log_torn = if bytes.len() < self.log_offset {
-                    // Shrunk without a generation bump: not a compaction
-                    // the protocol produces, but never serve stale state.
-                    self.full_read()?
-                } else {
-                    let tail = scan_tail(&bytes[self.log_offset..]);
-                    self.records.extend(tail.records);
-                    self.reconfigs.extend(tail.reconfigs);
-                    self.log_offset += tail.consumed;
-                    bytes.len() - self.log_offset
-                };
-                self.assemble_current(log_torn)
-            }
-            // Cold path: first poll, a compaction's generation bump, or a
-            // log whose META is unreadable (mid-recreate) — re-read all.
-            _ => {
-                let log_torn = self.full_read()?;
-                self.assemble_current(log_torn)
-            }
+        match self.poll_tail()? {
+            Some(recovered) => Ok(recovered),
+            None => self.cold_read(),
         }
     }
 
-    /// Runs the shared recovery invariants over the accumulated records.
-    fn assemble_current(&self, log_torn: usize) -> Result<RecoveredTrace, StoreError> {
-        assemble(
-            &self.dir,
-            &self.metas,
-            self.records.clone(),
-            self.reconfigs.clone(),
-            self.snap_torn + log_torn,
-        )
+    /// The warm path: ingests the records appended past `log_offset`, or
+    /// returns `None` when only a cold read will do (no state, log
+    /// missing, generation moved, log shrunk).
+    fn poll_tail(&mut self) -> Result<Option<RecoveredTrace>, StoreError> {
+        let (Some(generation), Some(state)) = (self.generation, self.state.as_mut()) else {
+            return Ok(None);
+        };
+        let mut file = match File::open(self.dir.join(LOG_FILE)) {
+            Ok(file) => file,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let mut head = [0u8; META_HEAD_BYTES];
+        let n = read_up_to(&mut file, &mut head)?;
+        match scan_meta(&head[..n]) {
+            Some((meta, _)) if meta.generation == generation => {}
+            // A compaction's generation bump, or a log whose META is
+            // unreadable (mid-recreate).
+            _ => return Ok(None),
+        }
+        let len = file.metadata()?.len() as usize;
+        if len < self.log_offset {
+            // Shrunk without a generation bump: not a compaction the
+            // protocol produces, but never serve stale state.
+            return Ok(None);
+        }
+        file.seek(SeekFrom::Start(self.log_offset as u64))?;
+        self.tail.clear();
+        file.take((len - self.log_offset) as u64)
+            .read_to_end(&mut self.tail)?;
+        let consumed = state.take_all(&self.tail, 0);
+        self.log_offset += consumed;
+        let log_torn = self.tail.len() - consumed;
+        Ok(Some(state.recovered(self.snap_torn + log_torn)))
+    }
+
+    /// Discards the state and reads snapshot and log in full through the
+    /// same ingestion a warm poll uses.
+    fn cold_read(&mut self) -> Result<RecoveredTrace, StoreError> {
+        self.state = None;
+        self.generation = None;
+        self.log_offset = 0;
+        let read = |name: &str| -> Result<Option<(Vec<u8>, Option<(Meta, usize)>)>, StoreError> {
+            match fs::read(self.dir.join(name)) {
+                Ok(bytes) => {
+                    let meta = scan_meta(&bytes);
+                    Ok(Some((bytes, meta)))
+                }
+                Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
+                Err(e) => Err(e.into()),
+            }
+        };
+        let snap = read(SNAPSHOT_FILE)?;
+        let log = read(LOG_FILE)?;
+        let metas: Vec<Meta> = [&snap, &log]
+            .into_iter()
+            .flatten()
+            .filter_map(|(_, meta)| meta.map(|(meta, _)| meta))
+            .collect();
+        let (process_count, generation) = check_metas(&self.dir, &metas)?;
+        let mut state = Assembly::new(process_count, generation);
+        // Snapshot first, then log; a file without a readable META is
+        // torn from its first byte. Returns (valid prefix end, length).
+        let mut take_file = |file: &Option<(Vec<u8>, Option<(Meta, usize)>)>| match file {
+            Some((bytes, Some((_, start)))) => (state.take_all(bytes, *start), bytes.len()),
+            Some((bytes, None)) => (0, bytes.len()),
+            None => (0, 0),
+        };
+        let (snap_end, snap_len) = take_file(&snap);
+        let (log_end, log_len) = take_file(&log);
+        self.snap_torn = snap_len - snap_end;
+        if let Some((_, Some((meta, _)))) = &log {
+            self.generation = Some(meta.generation);
+            self.log_offset = log_end;
+        }
+        let log_torn = log_len - log_end;
+        let recovered = state.recovered(self.snap_torn + log_torn);
+        self.state = Some(state);
+        Ok(recovered)
     }
 }
 
-/// Reads up to `buf.len()` bytes from the start of `path`, returning how
-/// many were read (short for a file smaller than the buffer).
-fn read_head(path: &Path, buf: &mut [u8]) -> Result<usize, StoreError> {
-    use std::io::Read;
-    let mut file = File::open(path)?;
+/// Reads up to `buf.len()` bytes from `file`'s current position,
+/// returning how many were read (short at end of file).
+fn read_up_to(file: &mut File, buf: &mut [u8]) -> Result<usize, StoreError> {
     let mut filled = 0usize;
-    loop {
+    while filled < buf.len() {
         let n = file.read(&mut buf[filled..])?;
-        if n == 0 || filled + n == buf.len() {
-            return Ok(filled + n);
+        if n == 0 {
+            break;
         }
         filled += n;
     }
+    Ok(filled)
 }

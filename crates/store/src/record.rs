@@ -272,16 +272,36 @@ pub struct FileScan {
     pub torn_bytes: usize,
 }
 
-/// One decoded non-META payload: an entry record or an epoch boundary.
-enum Decoded {
-    Stamp(StampRecord),
+/// One non-META payload, parsed in place: its stamp bytes still borrow
+/// the scanned buffer, so each consumer decodes them exactly once, into
+/// whatever form it keeps.
+pub(crate) enum Payload<'a> {
+    /// A SENT record.
+    Sent {
+        process: u64,
+        pseq: u64,
+        peer: u64,
+        key: u64,
+        stamp: &'a [u8],
+    },
+    /// A RECEIVED record.
+    Received {
+        process: u64,
+        pseq: u64,
+        peer: u64,
+        key: u64,
+        stamp: &'a [u8],
+    },
+    /// An INTERNAL record.
+    Internal { process: u64, pseq: u64 },
+    /// A RECONFIG epoch boundary.
     Reconfig(ReconfigRecord),
 }
 
-/// Decodes one record payload (tag + fields), or `None` for a malformed
-/// payload. Stamp bytes are validated against [`wire::decode_full`] here
-/// so replay never meets an undecodable stamp.
-fn decode_payload(payload: &[u8]) -> Option<Decoded> {
+/// Parses one record payload (tag + fields), or `None` for a malformed
+/// payload. Stamp bytes are not validated here: the consumer decodes
+/// them and refuses the record if they do not decode.
+fn parse_payload(payload: &[u8]) -> Option<Payload<'_>> {
     let (&tag, rest) = payload.split_first()?;
     let mut pos = 0usize;
     match tag {
@@ -290,10 +310,9 @@ fn decode_payload(payload: &[u8]) -> Option<Decoded> {
             let pseq = wire::read_varint(rest, &mut pos)?;
             let peer = wire::read_varint(rest, &mut pos)?;
             let key = wire::read_varint(rest, &mut pos)?;
-            let stamp = rest[pos..].to_vec();
-            wire::decode_full(&stamp)?;
-            Some(Decoded::Stamp(if tag == TAG_SENT {
-                StampRecord::Sent {
+            let stamp = &rest[pos..];
+            Some(if tag == TAG_SENT {
+                Payload::Sent {
                     process,
                     pseq,
                     peer,
@@ -301,19 +320,19 @@ fn decode_payload(payload: &[u8]) -> Option<Decoded> {
                     stamp,
                 }
             } else {
-                StampRecord::Received {
+                Payload::Received {
                     process,
                     pseq,
                     peer,
                     key,
                     stamp,
                 }
-            }))
+            })
         }
         TAG_INTERNAL => {
             let process = wire::read_varint(rest, &mut pos)?;
             let pseq = wire::read_varint(rest, &mut pos)?;
-            (pos == rest.len()).then_some(Decoded::Stamp(StampRecord::Internal { process, pseq }))
+            (pos == rest.len()).then_some(Payload::Internal { process, pseq })
         }
         TAG_RECONFIG => {
             let epoch = wire::read_varint(rest, &mut pos)?;
@@ -339,7 +358,7 @@ fn decode_payload(payload: &[u8]) -> Option<Decoded> {
                 let v = wire::read_varint(rest, &mut pos)?;
                 ops.push((kind as u8, u, v));
             }
-            (pos == rest.len()).then_some(Decoded::Reconfig(ReconfigRecord { epoch, cuts, ops }))
+            (pos == rest.len()).then_some(Payload::Reconfig(ReconfigRecord { epoch, cuts, ops }))
         }
         _ => None,
     }
@@ -412,25 +431,78 @@ pub fn scan_file(bytes: &[u8]) -> FileScan {
     }
 }
 
-/// Takes entry and RECONFIG records from `bytes[*pos..]` until the first
-/// framing violation, checksum failure, or malformed payload, leaving the
-/// cursor at the end of the valid prefix.
+/// Walks the framed non-META records at `bytes[*pos..]`, handing each
+/// parsed payload to `take`, until the first framing violation, checksum
+/// failure, malformed payload, or record `take` refuses (returns `false`
+/// for, e.g., stamp bytes that do not decode). The cursor is left at the
+/// end of the accepted prefix — the torn-tail rule shared by every scan.
+pub(crate) fn walk_records<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+    mut take: impl FnMut(Payload<'a>) -> bool,
+) {
+    loop {
+        let start = *pos;
+        let Some(payload) = next_payload(bytes, pos) else {
+            return;
+        };
+        // A checksum-valid but malformed payload still ends the prefix:
+        // trusting anything after an undecodable record would re-order
+        // the stream.
+        if !parse_payload(payload).is_some_and(&mut take) {
+            *pos = start;
+            return;
+        }
+    }
+}
+
+/// Takes entry and RECONFIG records from `bytes[*pos..]` into owned
+/// records, validating each stamp against [`wire::decode_full`].
 fn scan_entries(bytes: &[u8], pos: &mut usize) -> (Vec<StampRecord>, Vec<ReconfigRecord>) {
     let mut records = Vec::new();
     let mut reconfigs = Vec::new();
-    while let Some(payload) = next_payload(bytes, pos) {
-        match decode_payload(payload) {
-            Some(Decoded::Stamp(rec)) => records.push(rec),
-            Some(Decoded::Reconfig(rec)) => reconfigs.push(rec),
-            None => {
-                // A checksum-valid but malformed payload still ends the
-                // prefix: trusting anything after an undecodable record
-                // would re-order the stream.
-                *pos -= 8 + payload.len();
-                break;
+    walk_records(bytes, pos, |payload| {
+        let rec = match payload {
+            Payload::Sent {
+                process,
+                pseq,
+                peer,
+                key,
+                stamp,
+            } => StampRecord::Sent {
+                process,
+                pseq,
+                peer,
+                key,
+                stamp: stamp.to_vec(),
+            },
+            Payload::Received {
+                process,
+                pseq,
+                peer,
+                key,
+                stamp,
+            } => StampRecord::Received {
+                process,
+                pseq,
+                peer,
+                key,
+                stamp: stamp.to_vec(),
+            },
+            Payload::Internal { process, pseq } => StampRecord::Internal { process, pseq },
+            Payload::Reconfig(rec) => {
+                reconfigs.push(rec);
+                return true;
+            }
+        };
+        if let StampRecord::Sent { stamp, .. } | StampRecord::Received { stamp, .. } = &rec {
+            if wire::decode_full(stamp).is_none() {
+                return false;
             }
         }
-    }
+        records.push(rec);
+        true
+    });
     (records, reconfigs)
 }
 
@@ -441,34 +513,6 @@ pub fn scan_meta(bytes: &[u8]) -> Option<(Meta, usize)> {
     let mut pos = 0usize;
     let meta = next_payload(bytes, &mut pos).and_then(decode_meta_payload)?;
     Some((meta, pos))
-}
-
-/// The result of scanning a log **tail** — bytes starting mid-file, after
-/// a known-good offset, with no META record in front of them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TailScan {
-    /// Entry records of the tail's valid prefix, in file order.
-    pub records: Vec<StampRecord>,
-    /// RECONFIG records of the tail's valid prefix, in file order.
-    pub reconfigs: Vec<ReconfigRecord>,
-    /// How many of the given bytes formed valid records. The caller
-    /// advances its offset by exactly this much; a torn final record is
-    /// left behind and may complete on a later read.
-    pub consumed: usize,
-}
-
-/// Scans record bytes that start **after** a file's META — the
-/// incremental half of [`scan_file`], used by tailing readers that
-/// remember a byte offset and only re-read what appended since. Same
-/// torn-tail rule: keep the valid prefix, report how far it reached.
-pub fn scan_tail(bytes: &[u8]) -> TailScan {
-    let mut pos = 0usize;
-    let (records, reconfigs) = scan_entries(bytes, &mut pos);
-    TailScan {
-        records,
-        reconfigs,
-        consumed: pos,
-    }
 }
 
 #[cfg(test)]
@@ -615,7 +659,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_tail_resumes_where_a_full_scan_left_off() {
+    fn a_scan_resumes_where_an_earlier_scan_left_off() {
         let meta = Meta {
             version: FORMAT_VERSION,
             process_count: 2,
@@ -636,25 +680,26 @@ mod tests {
         encode_record(&mut tail, &records[2]);
         encode_reconfig(&mut tail, &boundary);
         encode_record(&mut tail, &records[3]);
-        let tail_scan = scan_tail(&tail);
-        assert_eq!(tail_scan.records, records[2..]);
-        assert_eq!(tail_scan.reconfigs, vec![boundary.clone()]);
-        assert_eq!(tail_scan.consumed, tail.len());
+        let mut consumed = 0;
+        let (tail_records, tail_reconfigs) = scan_entries(&tail, &mut consumed);
+        assert_eq!(tail_records, records[2..]);
+        assert_eq!(tail_reconfigs, vec![boundary.clone()]);
+        assert_eq!(consumed, tail.len());
         // Head-scan + tail-scan agree with one scan of the whole file.
         let mut whole = head.clone();
         whole.extend_from_slice(&tail);
         let full = scan_file(&whole);
-        let head_scan = scan_file(&head);
-        let mut combined = head_scan.records.clone();
-        combined.extend(tail_scan.records.clone());
+        let mut combined = scan_file(&head).records;
+        combined.extend(tail_records.clone());
         assert_eq!(full.records, combined);
-        assert_eq!(full.reconfigs, tail_scan.reconfigs);
+        assert_eq!(full.reconfigs, tail_reconfigs);
         // A torn tail consumes only up to the torn record; the rest waits
         // for the bytes to complete.
         for cut in 0..tail.len() {
-            let partial = scan_tail(&tail[..cut]);
-            assert!(partial.consumed <= cut);
-            assert_eq!(partial.records, tail_scan.records[..partial.records.len()]);
+            let mut consumed = 0;
+            let (partial, _) = scan_entries(&tail[..cut], &mut consumed);
+            assert!(consumed <= cut);
+            assert_eq!(partial, tail_records[..partial.len()]);
         }
     }
 }

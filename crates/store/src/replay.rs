@@ -12,7 +12,7 @@ use synctime_core::MessageTimestamps;
 use synctime_runtime::{reconstruct_from_logs, LogEntry, PersistEvent};
 use synctime_trace::SyncComputation;
 
-use crate::log::TraceStore;
+use crate::log::{MatchedLogs, TraceStore};
 use crate::record::StampRecord;
 use crate::StoreError;
 
@@ -135,14 +135,13 @@ pub fn materialize_latest_epoch(
     };
     // Recovery kept only fully-covered boundaries, so every cut is in
     // range.
-    let mut segment: Vec<Vec<LogEntry>> = trace
-        .logs
-        .iter()
-        .zip(&last.cuts)
-        .map(|(log, &cut)| log.get(cut as usize..).unwrap_or(&[]).to_vec())
-        .collect();
-    crate::log::match_keys_fixpoint(&mut segment);
-    let (comp, stamps) = materialize(&segment)?;
+    let mut segment = MatchedLogs::new(trace.logs.len());
+    for (process, (log, &cut)) in trace.logs.iter().zip(&last.cuts).enumerate() {
+        for entry in log.get(cut as usize..).unwrap_or(&[]) {
+            segment.push(process, entry.clone());
+        }
+    }
+    let (comp, stamps) = materialize(&segment.into_matched())?;
     Ok((last.epoch, comp, stamps))
 }
 
@@ -252,9 +251,16 @@ mod tests {
     use crate::read_trace_dir;
     use std::sync::mpsc;
 
+    /// A fresh directory per call: pid plus a process-wide counter, so
+    /// tests running in parallel never share a store root.
     fn temp_root(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("synctime-store-test-{}-{tag}", std::process::id()));
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "synctime-store-test-{}-{}-{tag}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create temp root");
         dir
@@ -390,10 +396,7 @@ mod tests {
                 store.flush().expect("flush");
                 let incremental = reader.poll().expect("incremental poll");
                 let full = read_trace_dir(store.dir()).expect("full re-read");
-                assert_eq!(incremental.logs, full.logs, "diverged after append {i}");
-                assert_eq!(incremental.records, full.records);
-                assert_eq!(incremental.generation, full.generation);
-                assert_eq!(incremental.reconfigs, full.reconfigs);
+                assert_eq!(incremental, full, "diverged after append {i}");
             }
         }
         store.snapshot().expect("seal");
@@ -473,6 +476,45 @@ mod tests {
         let (epoch, comp, _) = materialize_latest_epoch(&rec).expect("whole trace");
         assert_eq!(epoch, 0);
         assert_eq!(comp.message_count(), 4);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn disagreeing_endpoint_stamps_fail_replay_with_a_typed_error() {
+        use crate::TraceStore;
+        use synctime_core::VectorTime;
+        // One rendezvous whose send and receive records carry different
+        // stamps: recovery keeps both (the keys match), and
+        // materialisation must refuse them rather than panic or keep one.
+        let root = temp_root("stamp-mismatch");
+        let mut store = TraceStore::create(&root, "bad", 2).expect("create");
+        let key = 7u64;
+        store
+            .append(StampRecord::Sent {
+                process: 0,
+                pseq: 0,
+                peer: 1,
+                key,
+                stamp: wire::encode_full(&VectorTime::from(vec![1, 0])),
+            })
+            .expect("append send");
+        store
+            .append(StampRecord::Received {
+                process: 1,
+                pseq: 0,
+                peer: 0,
+                key,
+                stamp: wire::encode_full(&VectorTime::from(vec![2, 0])),
+            })
+            .expect("append receive");
+        store.sync().expect("sync");
+        let rec = read_trace_dir(store.dir()).expect("recover");
+        assert_eq!(rec.records, 2);
+        let expected = synctime_trace::TraceError::StampMismatch { message: 7 }.to_string();
+        match materialize(&rec.logs) {
+            Err(StoreError::Replay(detail)) => assert_eq!(detail, expected),
+            other => panic!("expected a replay error, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -224,113 +224,134 @@ impl SyncComputation {
     ///   e.g. the classic *crossing* pair where each process sends before it
     ///   receives; no rendezvous schedule realizes that.
     pub fn from_process_sequences(
-        sequences: Vec<Vec<EventKind>>,
+        mut sequences: Vec<Vec<EventKind>>,
     ) -> Result<SyncComputation, TraceError> {
         let process_count = sequences.len();
-        // Collect per-key endpoints.
-        use std::collections::BTreeMap;
-        let mut sends: BTreeMap<usize, (ProcessId, usize)> = BTreeMap::new();
-        let mut recvs: BTreeMap<usize, (ProcessId, usize)> = BTreeMap::new();
+        // Every external event as one endpoint `(key, is_receive, process,
+        // index)`. Sorted, a message's send and receive sit side by side,
+        // so one pass validates the keys and numbers the messages.
+        let mut ends: Vec<(usize, bool, ProcessId, usize)> = Vec::new();
         for (p, seq) in sequences.iter().enumerate() {
             for (i, ev) in seq.iter().enumerate() {
-                match ev {
+                match *ev {
                     EventKind::Internal => {}
-                    EventKind::Send(MessageId(k)) => {
-                        if sends.insert(*k, (p, i)).is_some() {
-                            return Err(TraceError::MalformedSequences { message: *k });
-                        }
-                    }
-                    EventKind::Receive(MessageId(k)) => {
-                        if recvs.insert(*k, (p, i)).is_some() {
-                            return Err(TraceError::MalformedSequences { message: *k });
-                        }
-                    }
+                    EventKind::Send(MessageId(k)) => ends.push((k, false, p, i)),
+                    EventKind::Receive(MessageId(k)) => ends.push((k, true, p, i)),
                 }
             }
         }
-        if sends.len() != recvs.len() {
-            let lonely = sends
-                .keys()
-                .find(|k| !recvs.contains_key(k))
-                .or_else(|| recvs.keys().find(|k| !sends.contains_key(k)))
-                .copied()
-                .unwrap_or(0);
-            return Err(TraceError::MalformedSequences { message: lonely });
+        ends.sort_unstable();
+        // A repeated endpoint is reported where a scan in (process, index)
+        // order first meets one: the earliest second occurrence.
+        let repeated = ends
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0 && w[0].1 == w[1].1)
+            .map(|w| (w[1].2, w[1].3, w[1].0))
+            .min();
+        if let Some((_, _, k)) = repeated {
+            return Err(TraceError::MalformedSequences { message: k });
         }
-        let keys: Vec<usize> = sends.keys().copied().collect();
-        for &k in &keys {
-            if !recvs.contains_key(&k) {
-                return Err(TraceError::MalformedSequences { message: k });
+        // Pair each send with its receive. Messages are numbered in key
+        // order; `pairs[m]` holds message m's key and endpoint processes.
+        let mut pairs: Vec<(usize, ProcessId, ProcessId)> = Vec::with_capacity(ends.len() / 2);
+        let (mut send_count, mut receive_count) = (0usize, 0usize);
+        let (mut lonely_send, mut lonely_receive) = (None, None);
+        let mut first_bad: Option<TraceError> = None;
+        let mut j = 0;
+        while j < ends.len() {
+            let (k, is_receive, p, i) = ends[j];
+            j += 1;
+            if is_receive {
+                receive_count += 1;
+                lonely_receive.get_or_insert(k);
+                continue;
             }
-            if sends[&k].0 == recvs[&k].0 {
-                return Err(TraceError::SelfMessage(sends[&k].0));
+            send_count += 1;
+            match ends.get(j) {
+                Some(&(k2, true, q, r)) if k2 == k => {
+                    j += 1;
+                    receive_count += 1;
+                    if p == q {
+                        first_bad.get_or_insert(TraceError::SelfMessage(p));
+                    }
+                    let m = MessageId(pairs.len());
+                    sequences[p][i] = EventKind::Send(m);
+                    sequences[q][r] = EventKind::Receive(m);
+                    pairs.push((k, p, q));
+                }
+                _ => {
+                    lonely_send.get_or_insert(k);
+                    first_bad.get_or_insert(TraceError::MalformedSequences { message: k });
+                }
             }
         }
-        // Build the per-process message orders and topologically sort the
-        // "must rendezvous earlier" constraints.
-        let key_index: BTreeMap<usize, usize> =
-            keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-        let mut per_process: Vec<Vec<usize>> = vec![Vec::new(); process_count];
+        if send_count != receive_count {
+            return Err(TraceError::MalformedSequences {
+                message: lonely_send.or(lonely_receive).unwrap_or(0),
+            });
+        }
+        if let Some(err) = first_bad {
+            return Err(err);
+        }
+        // `sequences` now names dense message indices. Each message has at
+        // most one local successor per endpoint process: slot 0 on its
+        // sender, slot 1 on its receiver.
+        const NONE: usize = usize::MAX;
+        let n = pairs.len();
+        let mut successors = vec![[NONE; 2]; n];
+        let mut indegree = vec![0usize; n];
         for (p, seq) in sequences.iter().enumerate() {
-            for ev in seq {
-                if let Some(MessageId(k)) = ev.message() {
-                    per_process[p].push(key_index[&k]);
+            let mut prev = NONE;
+            for m in seq.iter().filter_map(|ev| ev.message()) {
+                if prev != NONE {
+                    let slot = usize::from(pairs[prev].1 != p);
+                    successors[prev][slot] = m.0;
+                    indegree[m.0] += 1;
                 }
+                prev = m.0;
             }
         }
-        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); keys.len()];
-        let mut indegree = vec![0usize; keys.len()];
-        for order in &per_process {
-            for w in order.windows(2) {
-                successors[w[0]].push(w[1]);
-                indegree[w[1]] += 1;
-            }
-        }
-        let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = (0..keys.len())
+        // Topological order, smallest ready index first, so the numbering
+        // is a deterministic function of the sequences.
+        let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = (0..n)
             .filter(|&v| indegree[v] == 0)
             .map(std::cmp::Reverse)
             .collect();
-        let mut order = Vec::with_capacity(keys.len());
+        let mut rank = vec![NONE; n];
+        let mut next_rank = 0usize;
         while let Some(std::cmp::Reverse(v)) = ready.pop() {
-            order.push(v);
-            for &w in &successors[v] {
-                indegree[w] -= 1;
-                if indegree[w] == 0 {
-                    ready.push(std::cmp::Reverse(w));
+            rank[v] = next_rank;
+            next_rank += 1;
+            for w in successors[v] {
+                if w != NONE {
+                    indegree[w] -= 1;
+                    if indegree[w] == 0 {
+                        ready.push(std::cmp::Reverse(w));
+                    }
                 }
             }
         }
-        if order.len() != keys.len() {
-            let culprit = (0..keys.len())
-                .find(|&v| indegree[v] > 0)
-                .expect("a cycle leaves positive indegree");
+        if next_rank != n {
+            let culprit = (0..n).find(|&v| indegree[v] > 0).unwrap_or(0);
             return Err(TraceError::NotSynchronous {
-                message: keys[culprit],
+                message: pairs[culprit].0,
             });
         }
-        // Renumber messages into rendezvous order and rebuild via Builder.
-        let mut rank = vec![0usize; keys.len()];
-        for (pos, &v) in order.iter().enumerate() {
-            rank[v] = pos;
+        // Renumber into rendezvous order.
+        let mut message_meta = vec![(0usize, 0usize); n];
+        for (m, &(_, sender, receiver)) in pairs.iter().enumerate() {
+            message_meta[rank[m]] = (sender, receiver);
         }
-        let mut message_meta = vec![(0usize, 0usize); keys.len()]; // (sender, receiver) by rank
-        for &k in &keys {
-            let idx = key_index[&k];
-            message_meta[rank[idx]] = (sends[&k].0, recvs[&k].0);
-        }
-        let mut histories: Vec<Vec<EventKind>> = vec![Vec::new(); process_count];
-        for (p, seq) in sequences.iter().enumerate() {
-            for ev in seq {
-                histories[p].push(match ev {
+        for seq in &mut sequences {
+            for ev in seq.iter_mut() {
+                *ev = match *ev {
                     EventKind::Internal => EventKind::Internal,
-                    EventKind::Send(MessageId(k)) => EventKind::Send(MessageId(rank[key_index[k]])),
-                    EventKind::Receive(MessageId(k)) => {
-                        EventKind::Receive(MessageId(rank[key_index[k]]))
-                    }
-                });
+                    EventKind::Send(m) => EventKind::Send(MessageId(rank[m.0])),
+                    EventKind::Receive(m) => EventKind::Receive(MessageId(rank[m.0])),
+                };
             }
         }
-        Ok(Self::assemble(process_count, message_meta, histories))
+        Ok(Self::assemble(process_count, message_meta, sequences))
     }
 
     fn assemble(
@@ -483,6 +504,9 @@ impl Builder {
         SyncComputation::assemble(self.process_count, self.message_meta, self.histories)
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

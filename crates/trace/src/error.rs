@@ -36,6 +36,13 @@ pub enum TraceError {
         /// The offending message index.
         message: usize,
     },
+    /// The send and receive records of one message carry different
+    /// timestamps; a rendezvous agrees on a single stamp, so the logs are
+    /// inconsistent.
+    StampMismatch {
+        /// The message's key in the logs.
+        message: usize,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -66,6 +73,12 @@ impl fmt::Display for TraceError {
                 write!(
                     f,
                     "message {message} does not appear exactly once at its sender and receiver"
+                )
+            }
+            TraceError::StampMismatch { message } => {
+                write!(
+                    f,
+                    "message {message} carries different timestamps at its sender and receiver"
                 )
             }
         }

@@ -7,7 +7,9 @@
 #   1. formatting gate: `cargo fmt --check`
 #   2. release build (tier-1)
 #   3. root-package tests (tier-1): lib + tests/ + doctests, incl. README
-#   4. full workspace tests
+#   4. full workspace tests, plus a gate that fails when
+#      `cargo test --workspace -- --list` names any test twice within one
+#      test binary (a test registered twice runs twice, racing itself)
 #   5. workspace doctests
 #   6. strict doc build: `cargo doc --no-deps` with rustdoc warnings as errors
 #   7. bench-smoke: the online_runtime suite at 1-iteration scale, checking
@@ -92,6 +94,20 @@ run cargo build --release
 run cargo build --release --workspace
 run cargo test -q
 run cargo test --workspace -q
+# Every test must be registered once per test binary. A harness macro
+# that adds its own `#[test]` on top of the caller's runs each case twice,
+# and the twins race on shared fixtures (temp dirs, ports).
+echo "==> duplicate test registration gate"
+cargo test --workspace -- --list 2>&1 | awk '
+  /^ *(Running|Doc-tests) / { bin = $0; next }
+  /: test$/ { seen[bin "\t" $0]++ }
+  END {
+    for (k in seen) if (seen[k] > 1) {
+      print "verify: test registered " seen[k] " times: " k > "/dev/stderr"
+      bad = 1
+    }
+    exit bad
+  }'
 run cargo test --doc --workspace -q
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
