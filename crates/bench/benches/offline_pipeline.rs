@@ -4,11 +4,10 @@
 //! full `M x M` reachability closure and a minimum chain cover before it
 //! can stamp anything — `O(M^2)` memory and far worse time, which caps it
 //! at a few thousand messages. The sparse engine replaces the closure with
-//! per-sender chains plus a chain-merge reachability table (`O(M·k)` for
-//! `k` sending processes) and a heap-based deferring realizer, and its
-//! realizer/stamping stages fan out over the `synctime-par` work-stealing
-//! pool with a deterministic merge (parallel output is bit-identical to
-//! sequential).
+//! per-sender chains plus one chain clock per message (`O(M·k)` for `k`
+//! sending processes), and reads every deferring extension off those
+//! clocks with one counting sort. The `sparse_par` entry point takes a
+//! `synctime-par` pool and must stay bit-identical to sequential.
 //!
 //! This bench stamps one deterministic workload family at growing message
 //! counts under three variants:

@@ -87,7 +87,7 @@ PROGRAMS FILE:
 ALGORITHMS: online (default), offline, fm, lamport
   `offline` picks its engine with --engine: `dense` (default; minimum chain
   cover, width-dimensional vectors, O(M^2) memory) or `sparse` (per-sender
-  chains + chain-merge reachability, scales to millions of messages).
+  chains + per-message chain clocks, scales to millions of messages).
   `--clock` selects the clock *representation* for online and offline
   stamping: `dense` (default, a plain vector), `tree` (segment-tree clock,
   sublinear delta merges), `fixed` (16-lane fixed array, small dimensions

@@ -61,10 +61,10 @@ pub fn stamp_poset(poset: &Poset) -> MessageTimestamps {
     MessageTimestamps::new(vectors)
 }
 
-/// Sparse-engine offline stamping: per-sender chain partition, chain-merge
-/// reachability, and a heap-based deferring realizer — `O(M·k)` memory and
-/// `O(k·(M + E) log M)` time for `k` non-empty sender chains, against the
-/// dense engine's `O(M²)` closure.
+/// Sparse-engine offline stamping: per-sender chain partition, one chain
+/// clock per message, and the deferring realizer read off those clocks by
+/// a counting sort — `O(M·k)` memory and `O((M + E)·k)` time for `k` sender
+/// chains, against the dense engine's `O(M²)` closure.
 ///
 /// The tradeoff is dimension: the sparse vectors have one component per
 /// *sending process* (≤ `N`), while the dense engine pays the `O(M²)`
@@ -140,9 +140,9 @@ fn reemit_through_backend<C: Clock>(
     Ok(MessageTimestamps::new(vectors))
 }
 
-/// Parallel [`stamp_computation_sparse`]: realizer extensions and
-/// per-message vectors fan out over `pool`, merged deterministically so
-/// the output is **bit-identical** to the sequential engine.
+/// [`stamp_computation_sparse`] given a worker pool. The output is
+/// **bit-identical** to the sequential engine for every pool size; see
+/// [`stamp_sparse_poset_with`] for how the pool is used.
 pub fn stamp_computation_sparse_parallel(
     computation: &SyncComputation,
     pool: &ThreadPool,
@@ -156,43 +156,30 @@ pub fn stamp_sparse_poset(poset: &SparsePoset) -> MessageTimestamps {
     stamp_sparse_poset_with(poset, None)
 }
 
-/// Stamps an arbitrary [`SparsePoset`], fanning out across `pool` when one
-/// is supplied. Results are merged by chain / message index, never by
-/// completion order, so every pool size yields the same bytes.
+/// Stamps an arbitrary [`SparsePoset`]: message `m` gets its position in
+/// the deferring extension of every non-empty chain, read straight off the
+/// realizer's rank pass ([`realizer::sparse_extension_ranks`]) without
+/// materializing the extensions.
+///
+/// The rank pass is a linear sweep of a few integer operations per
+/// component, and handing the per-message vectors to the pool measured
+/// slower than building them in place (EXPERIMENTS.md R14), so all of it
+/// runs on the calling thread and `pool` is accepted but unused; the
+/// output is the same bytes for every pool size.
 pub fn stamp_sparse_poset_with(
     poset: &SparsePoset,
-    pool: Option<&ThreadPool>,
+    _pool: Option<&ThreadPool>,
 ) -> MessageTimestamps {
-    let (_, extensions) = match pool {
-        Some(pool) => realizer::sparse_chain_realizer_parallel(poset, pool),
-        None => realizer::sparse_chain_realizer(poset),
-    };
+    let mut vectors = vec![VectorTime::zero(0); poset.len()];
+    realizer::sparse_extension_ranks(poset, |m, ranks| {
+        vectors[m] = VectorTime::from(ranks.iter().map(|&r| u64::from(r)).collect::<Vec<u64>>());
+    });
     // Full pairwise verification is quadratic; keep the debug assertion to
     // sizes where it is instant (every unit/property test qualifies).
-    debug_assert!(poset.len() > 2048 || realizer::sparse_verify(poset, &extensions));
-    let invert = |ext: &Vec<usize>| -> Vec<u32> {
-        let mut pos = vec![0u32; poset.len()];
-        for (i, &v) in ext.iter().enumerate() {
-            pos[v] = i as u32;
-        }
-        pos
-    };
-    let positions: Vec<Vec<u32>> = match pool {
-        Some(pool) => pool.map_indexed(extensions.len(), |i| invert(&extensions[i])),
-        None => extensions.iter().map(invert).collect(),
-    };
-    let vector_of = |m: usize| -> VectorTime {
-        VectorTime::from(
-            positions
-                .iter()
-                .map(|pos| pos[m] as u64)
-                .collect::<Vec<u64>>(),
-        )
-    };
-    let vectors: Vec<VectorTime> = match pool {
-        Some(pool) => pool.map_indexed(poset.len(), vector_of),
-        None => (0..poset.len()).map(vector_of).collect(),
-    };
+    debug_assert!(
+        poset.len() > 2048
+            || realizer::sparse_verify(poset, &realizer::sparse_chain_realizer(poset).1)
+    );
     MessageTimestamps::new(vectors)
 }
 

@@ -10,11 +10,11 @@
 //! above it). Hence for every incomparable pair `(x, y)` with `y ∈ C_i`,
 //! `x <_{L_i} y` — and symmetrically some other extension puts `y` before
 //! `x`, so the intersection of the family is exactly the poset.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use synctime_par::ThreadPool;
+//!
+//! The dense [`extension_deferring`] simulates that emission directly. The
+//! sparse realizer never does: over a [`SparsePoset`] each deferring
+//! extension is a counting sort of the elements by their chain clock
+//! ([`sparse_extension_ranks`]), one pass for all chains at once.
 
 use crate::chains::min_chain_cover;
 use crate::{Poset, SparsePoset};
@@ -146,63 +146,81 @@ pub fn position_table(p: &Poset, extensions: &[Vec<usize>]) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Sparse counterpart of [`extension_deferring`]: builds the linear
-/// extension of `p` that defers the elements of chain `chain_index` for as
-/// long as any other minimal element exists, in
-/// `O((M + E) log M)` instead of the dense `O(M²)` scan.
+/// The chains the sparse realizer defers: the **non-empty** chains of
+/// `p`'s covering partition, in index order. Entry `i` is the chain whose
+/// deferring extension supplies component `i` of every sparse stamp.
+fn deferred_chains(p: &SparsePoset) -> Vec<usize> {
+    (0..p.chain_count())
+        .filter(|&c| !p.chains()[c].is_empty())
+        .collect()
+}
+
+/// Positions of every element in the deferring extension of every
+/// non-empty chain of `p`, without building the extensions: calls
+/// `visit(x, ranks)` once per element, where `ranks[i]` is the position of
+/// `x` in the extension deferring the `i`-th non-empty chain of `p`.
+/// Elements are visited in the topological order τ the poset was built in
+/// (ascending ids for a message poset).
 ///
-/// Uses a two-heap Kahn sweep over the generating edges: an element becomes
-/// *available* when its last unplaced predecessor is placed (for a
-/// generating relation this coincides with being minimal among the unplaced
-/// elements of the order), and at every step the smallest available
-/// non-chain element is emitted; a chain element only when no non-chain
-/// element is available. This is exactly the dense
-/// `min_by_key((in_chain, id))` pick, so the two implementations produce
-/// identical extensions given identical chains.
+/// **Rank lemma.** Let chain `c` be `y_1 < … < y_ℓ` and `h(x)` the number
+/// of `y_j ≤ x` (the poset's chain clock). The deferring extension `L_c`
+/// emits `y_j` only when it is the sole minimal unplaced element, so every
+/// element not above `y_j` is placed before it and nothing above it is;
+/// hence `L_c` lists the levels `h = 0, 1, …, ℓ` in turn, and level `j`
+/// holds exactly the elements above `y_j` but not above `y_{j+1}`. Within
+/// a level, every predecessor of an element sits in the same or a lower
+/// level, and in the same level earlier in τ; so the τ-least unplaced
+/// element of the current level always has all its predecessors placed,
+/// and emitting levels in τ order is a linear extension. With τ the
+/// identity (every edge ascends) that is exactly the smallest-id-first
+/// deferring sweep of [`extension_deferring`]: `L_c` sorts the elements by
+/// `(h(x), τ(x))`.
 ///
-/// # Panics
-///
-/// Panics if `chain_index` is out of range.
-pub fn sparse_extension_deferring(p: &SparsePoset, chain_index: usize) -> Vec<usize> {
-    assert!(chain_index < p.chain_count(), "chain index out of range");
-    let n = p.len();
-    let mut pending: Vec<u32> = (0..n).map(|v| p.predecessors(v).len() as u32).collect();
-    // Two min-heaps of available elements, split by chain membership: the
-    // deferred chain only supplies an element when `others` runs dry.
-    let mut others: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
-    let mut deferred: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
-    let offer = |v: usize, others: &mut BinaryHeap<_>, deferred: &mut BinaryHeap<_>| {
-        if p.chain_of(v) == chain_index {
-            deferred.push(Reverse(v));
-        } else {
-            others.push(Reverse(v));
-        }
-    };
-    for v in 0..n {
-        if pending[v] == 0 {
-            offer(v, &mut others, &mut deferred);
+/// The sort is one counting pass: a histogram of `h` per chain, a prefix
+/// sum, and one rank pass in τ order — `O(M · k)` time for `k` non-empty
+/// chains and `O(M + k)` scratch beyond the poset.
+pub fn sparse_extension_ranks(p: &SparsePoset, mut visit: impl FnMut(usize, &[u32])) {
+    let deferred = deferred_chains(p);
+    // `next[base[i] + h]` walks level `h` of extension `i`: first its
+    // size, then (after the prefix sum) the next free position in it.
+    let mut base = Vec::with_capacity(deferred.len());
+    let mut levels = 0;
+    for &c in &deferred {
+        base.push(levels);
+        levels += p.chains()[c].len() + 1;
+    }
+    let mut next = vec![0u32; levels];
+    for x in 0..p.len() {
+        let clock = p.chain_clock(x);
+        for (&c, &b) in deferred.iter().zip(&base) {
+            next[b + clock[c] as usize] += 1;
         }
     }
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
-        let Reverse(v) = others
-            .pop()
-            .or_else(|| deferred.pop())
-            .expect("a finite poset always has a minimal unplaced element");
-        out.push(v);
-        for &w in p.successors(v) {
-            let w = w as usize;
-            pending[w] -= 1;
-            if pending[w] == 0 {
-                offer(w, &mut others, &mut deferred);
-            }
+    for (i, &b) in base.iter().enumerate() {
+        let end = base.get(i + 1).copied().unwrap_or(levels);
+        let mut sum = 0;
+        for slot in &mut next[b..end] {
+            let count = *slot;
+            *slot = sum;
+            sum += count;
         }
     }
-    out
+    let mut ranks = vec![0u32; deferred.len()];
+    for t in 0..p.len() {
+        let x = p.tau(t);
+        let clock = p.chain_clock(x);
+        for ((rank, &c), &b) in ranks.iter_mut().zip(&deferred).zip(&base) {
+            let slot = &mut next[b + clock[c] as usize];
+            *rank = *slot;
+            *slot += 1;
+        }
+        visit(x, &ranks);
+    }
 }
 
 /// A chain realizer of a [`SparsePoset`]: one deferring extension per
-/// **non-empty** chain of its covering partition.
+/// **non-empty** chain of its covering partition, materialized from
+/// [`sparse_extension_ranks`].
 ///
 /// The family realizes `p` for *any* chain partition, minimum or not: for
 /// an incomparable pair `(x, y)` with `y` in chain `C_i`, the deferring
@@ -217,31 +235,14 @@ pub fn sparse_extension_deferring(p: &SparsePoset, chain_index: usize) -> Vec<us
 /// Returns `(chain_indices, extensions)` where `chain_indices[i]` is the
 /// partition index the `i`-th extension defers.
 pub fn sparse_chain_realizer(p: &SparsePoset) -> (Vec<usize>, Vec<Vec<usize>>) {
-    let nonempty: Vec<usize> = (0..p.chain_count())
-        .filter(|&c| !p.chains()[c].is_empty())
-        .collect();
-    let extensions = nonempty
-        .iter()
-        .map(|&c| sparse_extension_deferring(p, c))
-        .collect();
-    (nonempty, extensions)
-}
-
-/// Parallel [`sparse_chain_realizer`]: the per-chain extensions are
-/// independent, so they fan out across `pool` and are merged back **in
-/// chain order** — the result is bit-identical to the sequential one
-/// regardless of scheduling.
-pub fn sparse_chain_realizer_parallel(
-    p: &SparsePoset,
-    pool: &ThreadPool,
-) -> (Vec<usize>, Vec<Vec<usize>>) {
-    let nonempty: Vec<usize> = (0..p.chain_count())
-        .filter(|&c| !p.chains()[c].is_empty())
-        .collect();
-    let extensions = pool.map_indexed(nonempty.len(), |i| {
-        sparse_extension_deferring(p, nonempty[i])
+    let deferred = deferred_chains(p);
+    let mut extensions = vec![vec![0; p.len()]; deferred.len()];
+    sparse_extension_ranks(p, |x, ranks| {
+        for (ext, &r) in extensions.iter_mut().zip(ranks) {
+            ext[r as usize] = x;
+        }
     });
-    (nonempty, extensions)
+    (deferred, extensions)
 }
 
 /// Sparse analog of [`verify`]: every extension is a permutation that
@@ -250,12 +251,6 @@ pub fn sparse_chain_realizer_parallel(
 /// for tests and debug assertions on small posets, not for the hot path.
 pub fn sparse_verify(p: &SparsePoset, extensions: &[Vec<usize>]) -> bool {
     let n = p.len();
-    if n <= 1 {
-        return true;
-    }
-    if extensions.is_empty() {
-        return false;
-    }
     let mut positions = Vec::with_capacity(extensions.len());
     for ext in extensions {
         if ext.len() != n {
@@ -277,6 +272,14 @@ pub fn sparse_verify(p: &SparsePoset, extensions: &[Vec<usize>]) -> bool {
             }
         }
         positions.push(pos);
+    }
+    if n <= 1 {
+        // A single element (or none) is realized by any family of
+        // permutations, including the empty family.
+        return true;
+    }
+    if extensions.is_empty() {
+        return false;
     }
     for a in 0..n {
         for b in (a + 1)..n {
@@ -382,12 +385,9 @@ mod tests {
         let (n, edges, chains) = ladder();
         let dense = Poset::from_cover_edges(n, &edges).unwrap();
         let sparse = SparsePoset::from_edges_and_chains(n, &edges, chains.clone()).unwrap();
-        for (c, chain) in chains.iter().enumerate() {
-            assert_eq!(
-                extension_deferring(&dense, chain),
-                sparse_extension_deferring(&sparse, c),
-                "chain {c}"
-            );
+        let (which, exts) = sparse_chain_realizer(&sparse);
+        for (&c, ext) in which.iter().zip(&exts) {
+            assert_eq!(&extension_deferring(&dense, &chains[c]), ext, "chain {c}");
         }
     }
 
@@ -402,17 +402,6 @@ mod tests {
         // And against the dense closure's notion of incomparability too.
         let dense = Poset::from_cover_edges(n, &edges).unwrap();
         assert!(verify(&dense, &exts));
-    }
-
-    #[test]
-    fn sparse_parallel_is_bit_identical_to_sequential() {
-        let (n, edges, chains) = ladder();
-        let sparse = SparsePoset::from_edges_and_chains(n, &edges, chains).unwrap();
-        let seq = sparse_chain_realizer(&sparse);
-        for workers in [1, 2, 8] {
-            let par = sparse_chain_realizer_parallel(&sparse, &ThreadPool::new(workers));
-            assert_eq!(seq, par, "workers = {workers}");
-        }
     }
 
     #[test]
@@ -436,6 +425,25 @@ mod tests {
     }
 
     #[test]
+    fn sparse_verify_rejects_non_permutations_of_tiny_posets() {
+        let single = SparsePoset::from_edges_and_chains(1, &[], vec![vec![0]]).unwrap();
+        assert!(sparse_verify(&single, &[vec![0]]));
+        assert!(sparse_verify(&single, &[]));
+        for bad in [
+            vec![vec![7]],
+            vec![vec![]],
+            vec![vec![0, 0]],
+            vec![vec![0], vec![1]],
+        ] {
+            assert!(!sparse_verify(&single, &bad), "accepted {bad:?}");
+        }
+        let empty = SparsePoset::from_edges_and_chains(0, &[], Vec::new()).unwrap();
+        assert!(sparse_verify(&empty, &[]));
+        assert!(sparse_verify(&empty, &[vec![]]));
+        assert!(!sparse_verify(&empty, &[vec![0]]));
+    }
+
+    #[test]
     fn empty_and_singleton_posets() {
         let empty = Poset::antichain(0);
         assert!(verify(&empty, &chain_realizer(&empty)));
@@ -445,3 +453,6 @@ mod tests {
         assert!(verify(&single, &r));
     }
 }
+
+#[cfg(test)]
+mod reference;

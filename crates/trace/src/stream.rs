@@ -117,8 +117,6 @@ pub struct JsonEventReader<R: BufRead> {
     offset: usize,
     /// Set once the closing `]` of the events array was consumed.
     done: bool,
-    /// One byte of lookahead pushed back by the tokenizer.
-    peeked: Option<u8>,
     /// Events yielded so far (for error indices).
     yielded: usize,
 }
@@ -136,7 +134,6 @@ impl<R: BufRead> JsonEventReader<R> {
             processes: 0,
             offset: 0,
             done: false,
-            peeked: None,
             yielded: 0,
         };
         r.expect_byte(b'{', "'{'")?;
@@ -160,23 +157,31 @@ impl<R: BufRead> JsonEventReader<R> {
         })
     }
 
-    /// Next byte, counting offsets; `None` at EOF.
-    fn next_byte(&mut self) -> Result<Option<u8>, StreamError> {
-        if let Some(b) = self.peeked.take() {
-            return Ok(Some(b));
-        }
-        let mut buf = [0u8; 1];
+    /// Next byte without consuming it, straight from the reader's buffer;
+    /// `None` at EOF.
+    fn peek_byte(&mut self) -> Result<Option<u8>, StreamError> {
         loop {
-            return match self.reader.read(&mut buf) {
-                Ok(0) => Ok(None),
-                Ok(_) => {
-                    self.offset += 1;
-                    Ok(Some(buf[0]))
-                }
+            return match self.reader.fill_buf() {
+                Ok(buf) => Ok(buf.first().copied()),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => Err(StreamError::Io(e)),
             };
         }
+    }
+
+    /// Consumes the byte [`peek_byte`](Self::peek_byte) just returned.
+    fn bump(&mut self) {
+        self.reader.consume(1);
+        self.offset += 1;
+    }
+
+    /// Next byte, counting offsets; `None` at EOF.
+    fn next_byte(&mut self) -> Result<Option<u8>, StreamError> {
+        let b = self.peek_byte()?;
+        if b.is_some() {
+            self.bump();
+        }
+        Ok(b)
     }
 
     /// Next byte that is not JSON whitespace.
@@ -196,23 +201,35 @@ impl<R: BufRead> JsonEventReader<R> {
         }
     }
 
-    /// A quoted string; trace keys contain no escapes.
-    fn read_string(&mut self) -> Result<String, StreamError> {
+    /// A quoted key (trace keys contain no escapes), compared in place:
+    /// the index of the candidate it equals, if any.
+    fn read_key(&mut self, candidates: &[&str]) -> Result<Option<usize>, StreamError> {
         self.expect_byte(b'"', "'\"'")?;
-        let mut s = String::new();
+        // Bit `i` stays set while the key is a prefix of `candidates[i]`.
+        let mut alive = u32::MAX;
+        let mut len = 0;
         loop {
             match self.next_byte()? {
-                Some(b'"') => return Ok(s),
+                Some(b'"') => {
+                    return Ok((0..candidates.len())
+                        .find(|&i| alive & (1 << i) != 0 && candidates[i].len() == len))
+                }
                 Some(b'\\') => return self.malformed("a key without escapes"),
-                Some(b) => s.push(b as char),
+                Some(b) => {
+                    for (i, key) in candidates.iter().enumerate() {
+                        if key.as_bytes().get(len) != Some(&b) {
+                            alive &= !(1 << i);
+                        }
+                    }
+                    len += 1;
+                }
                 None => return self.malformed("a closing '\"'"),
             }
         }
     }
 
     fn expect_key(&mut self, want: &'static str) -> Result<(), StreamError> {
-        let got = self.read_string()?;
-        if got != want {
+        if self.read_key(&[want])?.is_none() {
             return self.malformed(want);
         }
         self.expect_byte(b':', "':'")
@@ -226,8 +243,9 @@ impl<R: BufRead> JsonEventReader<R> {
         };
         let mut value = (first - b'0') as usize;
         loop {
-            match self.next_byte()? {
+            match self.peek_byte()? {
                 Some(b @ b'0'..=b'9') => {
+                    self.bump();
                     value = value
                         .checked_mul(10)
                         .and_then(|v| v.checked_add((b - b'0') as usize))
@@ -236,11 +254,7 @@ impl<R: BufRead> JsonEventReader<R> {
                             expected: "an integer in range",
                         })?;
                 }
-                Some(other) => {
-                    self.peeked = Some(other);
-                    return Ok(value);
-                }
-                None => return Ok(value),
+                _ => return Ok(value),
             }
         }
     }
@@ -266,10 +280,10 @@ impl<R: BufRead> JsonEventReader<R> {
                 })
             }
         }
-        let kind = self.read_string()?;
+        let kind = self.read_key(&["message", "internal"])?;
         self.expect_byte(b':', "':'")?;
-        let event = match kind.as_str() {
-            "message" => {
+        let event = match kind {
+            Some(0) => {
                 self.expect_byte(b'[', "'['")?;
                 let sender = self.read_usize()?;
                 self.expect_byte(b',', "','")?;
@@ -277,8 +291,8 @@ impl<R: BufRead> JsonEventReader<R> {
                 self.expect_byte(b']', "']'")?;
                 StreamEvent::Message { sender, receiver }
             }
-            "internal" => StreamEvent::Internal(self.read_usize()?),
-            _ => return self.malformed("\"message\" or \"internal\""),
+            Some(_) => StreamEvent::Internal(self.read_usize()?),
+            None => return self.malformed("\"message\" or \"internal\""),
         };
         self.expect_byte(b'}', "'}'")?;
         self.yielded += 1;
@@ -485,25 +499,125 @@ mod tests {
         assert!(r.next().is_none());
     }
 
+    /// A reader that hands out its input 1–3 bytes per `read`, cycling.
+    struct Chunked<'a> {
+        rest: &'a [u8],
+        step: usize,
+    }
+
+    impl std::io::Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.step += 1;
+            let n = (1 + self.step % 3).min(self.rest.len()).min(buf.len());
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
+        }
+    }
+
+    /// Every event, or the offset and expectation of the first malformed
+    /// byte.
+    fn drain<R: BufRead>(reader: R) -> Result<Vec<StreamEvent>, (usize, &'static str)> {
+        JsonEventReader::new(reader)
+            .and_then(|r| r.collect::<Result<Vec<_>, _>>())
+            .map_err(|e| match e {
+                StreamError::Malformed { offset, expected } => (offset, expected),
+                other => panic!("unexpected error {other}"),
+            })
+    }
+
+    /// The text through three readers: one slice, a one-byte `BufReader`,
+    /// and a reader yielding 1–3 bytes per `read`.
+    fn through_every_reader(text: &str) -> [Result<Vec<StreamEvent>, (usize, &'static str)>; 3] {
+        [
+            drain(text.as_bytes()),
+            drain(std::io::BufReader::with_capacity(1, text.as_bytes())),
+            drain(std::io::BufReader::new(Chunked {
+                rest: text.as_bytes(),
+                step: 0,
+            })),
+        ]
+    }
+
     #[test]
     fn reader_rejects_malformed_text() {
-        for bad in [
-            "",
-            "{",
-            r#"{"events": []}"#,
-            r#"{"processes": 2}"#,
-            r#"{"processes": 2, "events": [{"massage": [0, 1]}]}"#,
-            r#"{"processes": 2, "events": [{"message": [0 1]}]}"#,
-            r#"{"processes": 2, "events": [{"message": [0, 1]}"#,
-        ] {
-            assert!(
-                matches!(
-                    JsonEventReader::new(bad.as_bytes())
-                        .and_then(|r| r.collect::<Result<Vec<_>, _>>()),
-                    Err(StreamError::Malformed { .. })
-                ),
-                "accepted: {bad}"
-            );
+        // (text, offset of the malformed byte, what was expected there).
+        // Keys that only share a prefix with a schema key are rejected.
+        let malformed: [(&str, usize, &str); 16] = [
+            ("", 0, "'{'"),
+            ("{", 1, "'\"'"),
+            (r#"{"events": []}"#, 9, "processes"),
+            (r#"{"processes": 2}"#, 16, "','"),
+            (
+                r#"{"processes": 2, "events": [{"massage": [0, 1]}]}"#,
+                39,
+                "\"message\" or \"internal\"",
+            ),
+            (
+                r#"{"processes": 2, "events": [{"message": [0 1]}]}"#,
+                44,
+                "','",
+            ),
+            (
+                r#"{"processes": 2, "events": [{"message": [0, 1]}"#,
+                47,
+                "',' or ']'",
+            ),
+            (r#"{"processesX": 2, "events": []}"#, 13, "processes"),
+            (r#"{"process": 2, "events": []}"#, 10, "processes"),
+            (r#"{"processes": 2, "event": []}"#, 24, "events"),
+            (
+                r#"{"processes": 2, "events": [{"messages": [0, 1]}]}"#,
+                40,
+                "\"message\" or \"internal\"",
+            ),
+            (
+                r#"{"processes": 2, "events": [{"internals": 0}]}"#,
+                41,
+                "\"message\" or \"internal\"",
+            ),
+            (
+                r#"{"processes": 2, "events": [{"intern": 0}]}"#,
+                38,
+                "\"message\" or \"internal\"",
+            ),
+            (
+                r#"{"proc\esses": 2, "events": []}"#,
+                7,
+                "a key without escapes",
+            ),
+            (
+                r#"{"processes": 99999999999999999999999, "events": []}"#,
+                34,
+                "an integer in range",
+            ),
+            (
+                r#"{"processes": 2, "events": [{"message": [0, 1]},]}"#,
+                49,
+                "'{'",
+            ),
+        ];
+        for (text, offset, expected) in malformed {
+            for got in through_every_reader(text) {
+                assert_eq!(got, Err((offset, expected)), "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn reader_is_independent_of_read_chunking() {
+        let good = json::to_json_string(&sample());
+        let whole = drain(good.as_bytes()).unwrap();
+        assert_eq!(whole.len(), 6);
+        for got in through_every_reader(&good) {
+            assert_eq!(got, Ok(whole.clone()));
+        }
+        for step in 1..3 {
+            let chunked = drain(std::io::BufReader::new(Chunked {
+                rest: good.as_bytes(),
+                step,
+            }));
+            assert_eq!(chunked, Ok(whole.clone()), "step {step}");
         }
     }
 
