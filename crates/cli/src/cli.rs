@@ -158,7 +158,7 @@ QUERY FABRIC:
   targets one trace with `--trace NAME` and asks many questions per round
   trip with `--batch \"1:2,3:4\"` (pairs of 1-based message numbers; each
   line answers whether the first synchronously precedes the second).
-  `--window W` pipelines the batch over protocol v3: up to W frames stay
+  `--window W` pipelines the batch one pair per frame: up to W frames stay
   in flight on the one connection, so the wire never idles for a round
   trip. Answers (and output) are identical to the unpipelined batch.
 "
@@ -527,9 +527,9 @@ fn cmd_query(opts: &BTreeMap<String, String>) -> Result<String, String> {
 /// `query --connect HOST:PORT`: ask a running `serve-query` instead of
 /// stamping locally. Message numbers stay 1-based on the command line; the
 /// wire protocol is 0-based. `--trace NAME` targets one trace of a
-/// multi-trace catalog (routed over v2 batch frames); `--batch` asks many
-/// precedence questions in one round trip, and `--window W` pipelines
-/// them over correlation-tagged v3 frames with W in flight.
+/// multi-trace catalog; `--batch` asks many precedence questions in one
+/// round trip, and `--window W` pipelines them one per frame with W
+/// frames in flight.
 fn cmd_query_remote(opts: &BTreeMap<String, String>) -> Result<String, String> {
     let addr = require(opts, "connect")?;
     let mut client = synctime_net::QueryClient::connect(addr)
@@ -544,7 +544,7 @@ fn cmd_query_remote(opts: &BTreeMap<String, String>) -> Result<String, String> {
         Ok(k - 1)
     };
     let parse_m = |name: &str| -> Result<u32, String> { parse_1based(name, require(opts, name)?) };
-    // Empty trace id = the server's default trace (v1-compatible).
+    // Empty trace id = the server's default trace.
     let trace = opts.get("trace").map(String::as_str).unwrap_or("");
     if let Some(spec) = opts.get("batch") {
         let pairs: Vec<(u32, u32)> = spec
@@ -556,24 +556,23 @@ fn cmd_query_remote(opts: &BTreeMap<String, String>) -> Result<String, String> {
                 Ok((parse_1based("batch", a)?, parse_1based("batch", b)?))
             })
             .collect::<Result<_, String>>()?;
-        let verdicts = match opts.get("window") {
+        // Lock-step by default; with `--window W`, one pair per frame and
+        // W frames in flight. The answers are byte-identical, only the
+        // wire schedule changes.
+        let (batch, window) = match opts.get("window") {
             Some(w) => {
                 let window: usize = w
                     .parse()
                     .ok()
                     .filter(|&w| w > 0)
                     .ok_or_else(|| "--window expects a positive number".to_string())?;
-                // One pair per v3 frame, `window` frames in flight: the
-                // answers are byte-identical to the v2 batch, only the
-                // wire schedule changes.
-                client
-                    .precedes_many_pipelined(trace, &pairs, 1, window)
-                    .map_err(|e| e.to_string())?
+                (1, window)
             }
-            None => client
-                .precedes_many(trace, &pairs)
-                .map_err(|e| e.to_string())?,
+            None => (synctime_net::MAX_BATCH, 1),
         };
+        let verdicts = client
+            .precedes_many_pipelined(trace, &pairs, batch, window)
+            .map_err(|e| e.to_string())?;
         let mut out = String::new();
         for (&(a, b), verdict) in pairs.iter().zip(verdicts) {
             writeln!(
@@ -589,12 +588,8 @@ fn cmd_query_remote(opts: &BTreeMap<String, String>) -> Result<String, String> {
     }
     if opts.contains_key("chain") {
         let m = parse_m("chain")?;
-        let ids = if trace.is_empty() {
-            client.chain_of(m)
-        } else {
-            client.chain_of_on(trace, m)
-        };
-        let chain: Vec<String> = ids
+        let chain: Vec<String> = client
+            .chain_of(trace, m)
             .map_err(|e| e.to_string())?
             .iter()
             .map(|id| format!("m{}", id + 1))
@@ -602,21 +597,13 @@ fn cmd_query_remote(opts: &BTreeMap<String, String>) -> Result<String, String> {
         return Ok(format!("chain of m{}: {}\n", m + 1, chain.join(" ")));
     }
     let (m1, m2) = (parse_m("m1")?, parse_m("m2")?);
-    let (forward, backward) = if trace.is_empty() {
-        (
-            client.precedes(m1, m2).map_err(|e| e.to_string())?,
-            client.precedes(m2, m1).map_err(|e| e.to_string())?,
-        )
-    } else {
-        // One round trip for both directions over a v2 batch.
-        let verdicts = client
-            .precedes_many(trace, &[(m1, m2), (m2, m1)])
-            .map_err(|e| e.to_string())?;
-        (verdicts[0], verdicts[1])
-    };
-    let verdict = if forward {
+    // One round trip asks both directions.
+    let verdicts = client
+        .precedes_many_pipelined(trace, &[(m1, m2), (m2, m1)], synctime_net::MAX_BATCH, 1)
+        .map_err(|e| e.to_string())?;
+    let verdict = if verdicts[0] {
         "m1 synchronously precedes m2"
-    } else if backward {
+    } else if verdicts[1] {
         "m2 synchronously precedes m1"
     } else {
         "m1 and m2 are concurrent"
@@ -2554,8 +2541,9 @@ mod tests {
         let stamps = OnlineStamper::new(&dec).stamp_computation(&comp).unwrap();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
+        let fabric = synctime_net::QueryFabric::single(synctime_net::DEFAULT_TRACE_NAME, stamps);
         std::thread::spawn(move || {
-            let _ = synctime_net::query::serve(listener, synctime_net::QueryService::new(stamps));
+            let _ = synctime_net::serve_fabric(listener, std::sync::Arc::new(fabric), 1);
         });
         let out = run_strs(&["query", "--connect", &addr, "--m1", "1", "--m2", "2"]).unwrap();
         assert_eq!(out, "m1 and m2 are concurrent\n");
@@ -2653,7 +2641,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(out, "m1 -> m2: yes\nm2 -> m1: no\nm1 -> m3: yes\n");
-        // The pipelined (v3, --window) batch prints the identical output.
+        // The pipelined (--window) batch prints the identical output.
         let piped = run_strs(&[
             "query",
             "--connect",

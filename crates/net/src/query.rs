@@ -2,8 +2,8 @@
 //!
 //! The paper's punchline is that a d-dimensional vector per message
 //! answers `m1 ↦ m2` with a constant-time comparison. This module serves
-//! that comparison over the frame protocol: a [`QueryServer`] holds the
-//! stamped trace in memory and answers three query kinds —
+//! that comparison over the frame protocol against a [`QueryFabric`]
+//! catalog of stamped traces, answering three query kinds —
 //!
 //! * **precedes** `m1 m2` — does `m1` synchronously precede `m2`?
 //! * **concurrent** `m1 m2` — is neither ordered before the other?
@@ -11,42 +11,34 @@
 //!   and future, `m` included), ascending by message id; the complement
 //!   of `m`'s concurrency set.
 //!
-//! A v1 query is one QUERY frame and one ANSWER (or ERROR) frame; clients
-//! keep a connection open and pipeline queries sequentially, so the
-//! closed-loop cost is one round trip plus two vector comparisons. A v2
-//! **batch** is one QUERY2 frame carrying up to `MAX_BATCH` queries
-//! against one named trace of the catalog and one ANSWER2 frame carrying
-//! positionally matched entries — the round trip, the framing, and the
-//! trace lookup are paid once per batch, which is what takes a
-//! single connection from ~10⁵ to ~10⁶ queries/sec on loopback.
+//! Every call travels in one frame family: a QUERY3 frame carries up to
+//! `MAX_BATCH` queries against one named trace plus a correlation id, and
+//! the ANSWER3 frame echoing that id carries positionally matched
+//! entries. The round trip, the framing, and the trace lookup are paid
+//! once per batch. A [`Pipeline`] keeps up to W batches in flight at
+//! once; answers complete out of order, matched by correlation id. A
+//! window of one is lock-step batching, and a batch of one is a single
+//! query — which is how [`QueryClient::precedes`] and friends are served.
 //!
-//! A v3 **pipelined** connection removes the remaining lock-step: a
-//! [`Pipeline`] keeps up to W correlation-tagged QUERY3 batches in flight
-//! at once, the server answers frames *as they decode* (every batch read
-//! off the socket in one `read` is answered in one `write`), and answers
-//! complete out of order, matched by correlation id. The serving hot path
+//! The server answers frames *as they decode* (every batch read off the
+//! socket in one `read` is answered in one `write`). The serving hot path
 //! is allocation-free in steady state: [`pump_frames`] decodes borrowed
 //! [`QueryBatchView`]s straight out of the receive buffer and appends
 //! ANSWER3 frames to a per-connection [`FrameScratch`], whose buffers are
 //! reused across frames and connections (see
 //! `crates/net/tests/zero_alloc.rs` for the counting-allocator proof).
-//!
-//! Every connection is served by the fixed worker pool in [`crate::pool`]
-//! against a shared [`QueryFabric`] catalog; the single-trace [`serve`]
-//! entry point is the same machinery over a one-trace catalog.
+//! Every connection is served by the fixed worker pool in [`crate::pool`].
 //!
 //! Query connections handshake like transport connections, but a client
 //! is not a process of any computation: it identifies as process
-//! `u32::MAX` with topology hash `0`, and the server validates the
-//! protocol version only — accepting [`MIN_QUERY_VERSION`] up to
-//! [`PROTOCOL_VERSION`], so v2 clients keep working across the v3 bump.
+//! `u32::MAX` with topology hash `0`, and the server checks only that the
+//! client speaks exactly [`PROTOCOL_VERSION`].
 //!
 //! [`QueryBatchView`]: crate::frame::QueryBatchView
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::net::TcpStream;
 
 use synctime_core::MessageTimestamps;
 use synctime_trace::MessageId;
@@ -55,8 +47,8 @@ use crate::catalog::QueryFabric;
 use crate::error::NetError;
 use crate::frame::{
     begin_frame, encode_query_batch_into, end_frame, AnswerBatchView, BatchEntry, BatchQuery,
-    Frame, FrameReader, FrameScratch, QueryBatchView, MAX_BATCH, MIN_QUERY_VERSION,
-    PROTOCOL_VERSION, TYPE_ANSWER_PIPELINED, TYPE_QUERY_PIPELINED,
+    Frame, FrameReader, FrameScratch, QueryBatchView, MAX_BATCH, PROTOCOL_VERSION,
+    TYPE_ANSWER_PIPELINED, TYPE_QUERY_PIPELINED,
 };
 
 /// Query kind byte: does `m1` precede `m2`?
@@ -69,33 +61,19 @@ pub const QUERY_CHAIN_OF: u8 = 2;
 /// The process id query clients identify with: not a process at all.
 pub const QUERY_CLIENT_ID: u32 = u32::MAX;
 
-/// The trace id a single-trace [`serve`] registers its one trace under.
+/// The trace id a single-trace `serve-query` registers its one trace
+/// under (see [`QueryFabric::single`]).
 pub const DEFAULT_TRACE_NAME: &str = "default";
 
-/// Answers one query against a stamped trace, returning the bytes a v1
-/// ANSWER frame (or a v2 ANSWER2 entry — they are identical) carries:
+/// Answers one query against a stamped trace, appending the kind-specific
+/// answer body an ANSWER3 entry carries to a caller-owned buffer — the
+/// allocation-free form the serving hot path uses ([`FrameScratch::body`]
+/// is the usual arena):
 ///
 /// * `precedes` / `concurrent` — a single `0`/`1` byte;
 /// * `chain-of` — `u32` count, then the ordered message ids as `u32`s.
 ///
-/// # Errors
-///
-/// [`NetError::Query`] on an unknown kind or out-of-range message id
-/// (0-based).
-pub fn answer_query(
-    stamps: &MessageTimestamps,
-    kind: u8,
-    m1: u32,
-    m2: u32,
-) -> Result<Vec<u8>, NetError> {
-    let mut body = Vec::new();
-    answer_query_into(stamps, kind, m1, m2, &mut body)?;
-    Ok(body)
-}
-
-/// [`answer_query`] appending into a caller-owned buffer — the
-/// allocation-free form the serving hot path uses ([`FrameScratch::body`]
-/// is the usual arena). On error nothing has been appended.
+/// On error nothing has been appended.
 ///
 /// # Errors
 ///
@@ -149,61 +127,8 @@ pub fn answer_query_into(
     }
 }
 
-/// Answers queries against one stamped trace (the single-trace façade
-/// over [`answer_query`]; the multi-trace catalog is [`QueryFabric`]).
-#[derive(Debug, Clone)]
-pub struct QueryService {
-    stamps: Arc<MessageTimestamps>,
-}
-
-impl QueryService {
-    /// Wraps a stamped trace.
-    pub fn new(stamps: MessageTimestamps) -> Self {
-        QueryService {
-            stamps: Arc::new(stamps),
-        }
-    }
-
-    /// Number of stamped messages served.
-    pub fn message_count(&self) -> usize {
-        self.stamps.len()
-    }
-
-    /// Answers one query, returning the ANSWER body (see [`answer_query`]).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Query`] on an unknown kind or out-of-range message id
-    /// (0-based).
-    pub fn answer(&self, kind: u8, m1: u32, m2: u32) -> Result<Vec<u8>, NetError> {
-        answer_query(&self.stamps, kind, m1, m2)
-    }
-}
-
-/// Accepts query connections forever against a single stamped trace,
-/// registered in a one-shard catalog under [`DEFAULT_TRACE_NAME`] and
-/// served by a default-sized worker pool — the PR 5 entry point, now on
-/// the fabric machinery. v1 clients are unaffected (a single-trace
-/// catalog answers empty-trace-id queries); batch clients may address the
-/// trace as `"default"` or `""`.
-///
-/// Returns only when the listener itself fails; callers wanting a
-/// bounded server should drop the listener from another thread or kill
-/// the process (the CLI's `serve-query` does the latter).
-///
-/// # Errors
-///
-/// [`NetError::Io`] when accepting fails for a reason other than a
-/// transient client error.
-pub fn serve(listener: TcpListener, service: QueryService) -> Result<(), NetError> {
-    let fabric = QueryFabric::new(1);
-    fabric.publish_shared(DEFAULT_TRACE_NAME, Arc::clone(&service.stamps));
-    crate::pool::serve_fabric(listener, Arc::new(fabric), crate::pool::default_pool_size())
-}
-
 /// Runs one client connection against the catalog: handshake, then a
-/// query/answer loop (v1 single queries, v2 batches, and v3 pipelined
-/// batches interleave freely) until the client disconnects.
+/// QUERY3/ANSWER3 loop until the client disconnects.
 ///
 /// The loop never lock-steps: every complete frame already buffered is
 /// answered into `scratch.out` before the reply bytes leave in a single
@@ -214,15 +139,15 @@ pub fn serve(listener: TcpListener, service: QueryService) -> Result<(), NetErro
 /// allocation-free.
 ///
 /// Rejected queries — bad ids, unknown kinds, unresolvable trace ids —
-/// answer with ERROR frames (or error entries) and keep the connection
-/// alive; only protocol violations and socket failures end it.
+/// answer with error entries and keep the connection alive; only protocol
+/// violations and socket failures end it.
 ///
 /// # Errors
 ///
-/// [`NetError::Handshake`] when the client's HELLO is missing or speaks
-/// an unsupported protocol version (anything outside
-/// [`MIN_QUERY_VERSION`]..=[`PROTOCOL_VERSION`]), [`NetError::Protocol`]
-/// on frame violations, [`NetError::Io`] on socket failures.
+/// [`NetError::Handshake`] when the client's HELLO is missing or speaks a
+/// protocol version other than [`PROTOCOL_VERSION`],
+/// [`NetError::Protocol`] on frame violations, [`NetError::Io`] on socket
+/// failures.
 pub fn serve_fabric_connection(
     mut stream: TcpStream,
     fabric: &QueryFabric,
@@ -237,11 +162,11 @@ pub fn serve_fabric_connection(
             "expected HELLO, got {hello:?}"
         )));
     };
-    if !(MIN_QUERY_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         let refusal = Frame::Error {
             message: format!(
-                "protocol version mismatch: client speaks {version}, server accepts \
-                 {MIN_QUERY_VERSION}..={PROTOCOL_VERSION}"
+                "protocol version mismatch: client speaks {version}, server speaks \
+                 {PROTOCOL_VERSION}"
             ),
         };
         stream.write_all(&refusal.encode()?)?;
@@ -274,8 +199,8 @@ pub fn serve_fabric_connection(
 
 /// Answers every complete frame buffered in `reader`, appending the reply
 /// bytes to `scratch.out` (the caller flushes them in one write). Returns
-/// `false` when the connection should close after the flush — an
-/// unexpected frame type was answered with a final ERROR frame.
+/// `false` when the connection should close after the flush — a frame
+/// other than QUERY3 was answered with a final ERROR frame.
 ///
 /// This is the serving hot path: QUERY3 frames are decoded as borrowed
 /// [`QueryBatchView`]s straight out of the receive buffer and answered
@@ -296,100 +221,65 @@ pub fn pump_frames(
     scratch: &mut FrameScratch,
 ) -> Result<bool, NetError> {
     loop {
-        // Fast path: answer a pipelined batch without materialising a
-        // Frame. Everything else falls back to the owned decode below.
-        if let Some((TYPE_QUERY_PIPELINED, body)) = reader.peek_frame()? {
-            if body.len() < 4 {
-                return Err(NetError::Protocol(
-                    "QUERY3 body too short for correlation id".to_string(),
-                ));
-            }
-            let corr = u32::from_le_bytes([body[0], body[1], body[2], body[3]]);
-            let view = QueryBatchView::parse(&body[4..])?;
-            let FrameScratch {
-                out, body: arena, ..
-            } = scratch;
-            let start = begin_frame(out, TYPE_ANSWER_PIPELINED);
-            out.extend_from_slice(&corr.to_le_bytes());
-            out.extend_from_slice(&(view.count() as u32).to_le_bytes());
-            match fabric.resolve(view.trace()) {
-                Ok(stamps) => {
-                    for q in view.queries() {
-                        arena.clear();
-                        let status = match answer_query_into(&stamps, q.kind, q.m1, q.m2, arena) {
-                            Ok(()) => 0u8,
-                            Err(e) => {
-                                let detail = match e {
-                                    NetError::Query(detail) => detail,
-                                    other => other.to_string(),
-                                };
-                                arena.clear();
-                                arena.extend_from_slice(detail.as_bytes());
-                                1
-                            }
-                        };
-                        out.push(status);
-                        out.extend_from_slice(&(arena.len() as u32).to_le_bytes());
-                        out.extend_from_slice(arena);
-                    }
-                }
-                Err(e) => {
-                    let detail = match e {
-                        NetError::Query(detail) => detail,
-                        other => other.to_string(),
-                    };
-                    for _ in 0..view.count() {
-                        out.push(1);
-                        out.extend_from_slice(&(detail.len() as u32).to_le_bytes());
-                        out.extend_from_slice(detail.as_bytes());
-                    }
-                }
-            }
-            end_frame(out, start);
-            reader.consume_frame();
-            continue;
-        }
-        let frame = match reader.next_frame()? {
-            Some(f) => f,
+        let body = match reader.peek_frame()? {
             None => return Ok(true),
-        };
-        let reply = match frame {
-            Frame::Query { kind, m1, m2 } => {
-                // v1: resolve the default trace, answer one query.
-                match fabric
-                    .resolve("")
-                    .and_then(|stamps| answer_query(&stamps, kind, m1, m2))
-                {
-                    Ok(body) => Frame::Answer { body },
-                    // The wire carries the bare detail; the client re-wraps
-                    // it in NetError::Query, which adds the "query
-                    // rejected:" prefix.
-                    Err(NetError::Query(detail)) => Frame::Error { message: detail },
-                    Err(e) => Frame::Error {
-                        message: e.to_string(),
-                    },
-                }
-            }
-            Frame::QueryBatch { trace, queries } => {
-                // v2: one trace resolution, then every entry answered
-                // independently.
-                match fabric.answer_batch(&trace, &queries) {
-                    Ok(entries) => Frame::AnswerBatch { entries },
-                    Err(NetError::Query(detail)) => Frame::Error { message: detail },
-                    Err(e) => Frame::Error {
-                        message: e.to_string(),
-                    },
-                }
-            }
-            other => {
+            Some((TYPE_QUERY_PIPELINED, body)) => body,
+            Some((ty, _)) => {
                 Frame::Error {
-                    message: format!("expected QUERY, QUERY2, or QUERY3, got {other:?}"),
+                    message: format!("expected QUERY3, got frame type {ty}"),
                 }
                 .encode_into(&mut scratch.out)?;
                 return Ok(false);
             }
         };
-        reply.encode_into(&mut scratch.out)?;
+        if body.len() < 4 {
+            return Err(NetError::Protocol(
+                "QUERY3 body too short for correlation id".to_string(),
+            ));
+        }
+        let corr = u32::from_le_bytes([body[0], body[1], body[2], body[3]]);
+        let view = QueryBatchView::parse(&body[4..])?;
+        let FrameScratch {
+            out, body: arena, ..
+        } = scratch;
+        let start = begin_frame(out, TYPE_ANSWER_PIPELINED);
+        out.extend_from_slice(&corr.to_le_bytes());
+        out.extend_from_slice(&(view.count() as u32).to_le_bytes());
+        match fabric.resolve(view.trace()) {
+            Ok(stamps) => {
+                for q in view.queries() {
+                    arena.clear();
+                    let status = match answer_query_into(&stamps, q.kind, q.m1, q.m2, arena) {
+                        Ok(()) => 0u8,
+                        Err(e) => {
+                            let detail = match e {
+                                NetError::Query(detail) => detail,
+                                other => other.to_string(),
+                            };
+                            arena.clear();
+                            arena.extend_from_slice(detail.as_bytes());
+                            1
+                        }
+                    };
+                    out.push(status);
+                    out.extend_from_slice(&(arena.len() as u32).to_le_bytes());
+                    out.extend_from_slice(arena);
+                }
+            }
+            Err(e) => {
+                let detail = match e {
+                    NetError::Query(detail) => detail,
+                    other => other.to_string(),
+                };
+                for _ in 0..view.count() {
+                    out.push(1);
+                    out.extend_from_slice(&(detail.len() as u32).to_le_bytes());
+                    out.extend_from_slice(detail.as_bytes());
+                }
+            }
+        }
+        end_frame(out, start);
+        reader.consume_frame();
     }
 }
 
@@ -410,8 +300,8 @@ fn read_frame(
     }
 }
 
-/// A blocking query connection: one handshake, then sequential queries —
-/// or up to W overlapping batches via [`QueryClient::pipeline`].
+/// A blocking query connection: one handshake, then batches of queries —
+/// lock-step, or up to W overlapping batches via [`QueryClient::pipeline`].
 #[derive(Debug)]
 pub struct QueryClient {
     stream: TcpStream,
@@ -452,22 +342,17 @@ impl QueryClient {
         }
     }
 
-    fn ask(&mut self, kind: u8, m1: u32, m2: u32) -> Result<Vec<u8>, NetError> {
-        self.stream
-            .write_all(&Frame::Query { kind, m1, m2 }.encode()?)?;
-        let mut buf = [0u8; 4096];
-        match read_frame(&mut self.stream, &mut self.reader, &mut buf)? {
-            Frame::Answer { body } => Ok(body),
-            Frame::Error { message } => Err(NetError::Query(message)),
-            other => Err(NetError::Protocol(format!(
-                "expected ANSWER, got {other:?}"
-            ))),
+    /// Asks one query as a batch of one and returns its answer body.
+    fn ask(&mut self, trace: &str, kind: u8, m1: u32, m2: u32) -> Result<Vec<u8>, NetError> {
+        match self.batch(trace, &[BatchQuery { kind, m1, m2 }])?.pop() {
+            Some(BatchEntry::Answer(body)) => Ok(body),
+            Some(BatchEntry::Error(message)) => Err(NetError::Query(message)),
+            None => Err(NetError::Protocol("empty batch answer".to_string())),
         }
     }
 
-    fn ask_bool(&mut self, kind: u8, m1: u32, m2: u32) -> Result<bool, NetError> {
-        let body = self.ask(kind, m1, m2)?;
-        match body.as_slice() {
+    fn ask_bool(&mut self, trace: &str, kind: u8, m1: u32, m2: u32) -> Result<bool, NetError> {
+        match self.ask(trace, kind, m1, m2)?.as_slice() {
             [0] => Ok(false),
             [1] => Ok(true),
             _ => Err(NetError::Protocol(
@@ -476,39 +361,42 @@ impl QueryClient {
         }
     }
 
-    /// Does message `m1` synchronously precede `m2`? (0-based ids.)
+    /// Does message `m1` synchronously precede `m2` in `trace`? (0-based
+    /// ids; the empty trace id targets the catalog's default trace.)
     ///
     /// # Errors
     ///
-    /// [`NetError::Query`] when the server rejects the ids, transport
-    /// errors otherwise.
-    pub fn precedes(&mut self, m1: u32, m2: u32) -> Result<bool, NetError> {
-        self.ask_bool(QUERY_PRECEDES, m1, m2)
+    /// [`NetError::Query`] when the server rejects the trace or the ids,
+    /// transport errors otherwise.
+    pub fn precedes(&mut self, trace: &str, m1: u32, m2: u32) -> Result<bool, NetError> {
+        self.ask_bool(trace, QUERY_PRECEDES, m1, m2)
     }
 
-    /// Are messages `m1` and `m2` concurrent? (0-based ids.)
+    /// Are messages `m1` and `m2` of `trace` concurrent? (0-based ids.)
     ///
     /// # Errors
     ///
     /// As [`QueryClient::precedes`].
-    pub fn concurrent(&mut self, m1: u32, m2: u32) -> Result<bool, NetError> {
-        self.ask_bool(QUERY_CONCURRENT, m1, m2)
+    pub fn concurrent(&mut self, trace: &str, m1: u32, m2: u32) -> Result<bool, NetError> {
+        self.ask_bool(trace, QUERY_CONCURRENT, m1, m2)
     }
 
-    /// Every message ordered with `m` (see the module docs), ascending.
+    /// Every message of `trace` ordered with `m` (see the module docs),
+    /// ascending.
     ///
     /// # Errors
     ///
     /// As [`QueryClient::precedes`].
-    pub fn chain_of(&mut self, m: u32) -> Result<Vec<u32>, NetError> {
-        let body = self.ask(QUERY_CHAIN_OF, m, 0)?;
+    pub fn chain_of(&mut self, trace: &str, m: u32) -> Result<Vec<u32>, NetError> {
+        let body = self.ask(trace, QUERY_CHAIN_OF, m, 0)?;
         parse_chain_body(&body)
     }
 
-    /// Sends one v2 batch of queries against a named trace of the server's
+    /// Sends a batch of queries against a named trace of the server's
     /// catalog and returns the positionally matched entries. Batches
-    /// larger than [`MAX_BATCH`] are split across frames transparently;
-    /// the empty trace id targets the catalog's default trace.
+    /// larger than [`MAX_BATCH`] are split across frames sent lock-step
+    /// (a window-1 [`Pipeline`]); the empty trace id targets the catalog's
+    /// default trace.
     ///
     /// ```no_run
     /// use synctime_net::{BatchEntry, BatchQuery, QueryClient};
@@ -534,157 +422,42 @@ impl QueryClient {
     ///
     /// # Errors
     ///
-    /// [`NetError::Query`] when the trace id itself is rejected (the
-    /// per-query failures come back as [`BatchEntry::Error`] entries
-    /// instead), [`NetError::Protocol`] on a malformed or mismatched
-    /// reply, transport errors otherwise.
+    /// [`NetError::Query`] when the trace id is too long to encode;
+    /// per-query failures, an unknown trace included, come back as
+    /// [`BatchEntry::Error`] entries instead. [`NetError::Protocol`] on a
+    /// malformed or mismatched reply, transport errors otherwise.
     pub fn batch(
         &mut self,
         trace: &str,
         queries: &[BatchQuery],
     ) -> Result<Vec<BatchEntry>, NetError> {
-        let mut entries = Vec::with_capacity(queries.len());
+        let mut pipeline = self.pipeline(1);
         // Explicit cursor instead of `chunks()`: an exact multiple of
         // MAX_BATCH sends exactly len/MAX_BATCH frames (no trailing empty
-        // frame), and an empty batch still sends one frame so a bad trace
-        // id surfaces as the error it is rather than silently succeeding.
+        // frame), and an empty batch still sends one frame so an
+        // oversized trace id is refused rather than silently ignored.
         let mut sent = 0usize;
         loop {
             let chunk = &queries[sent..queries.len().min(sent + MAX_BATCH)];
-            self.scratch.out.clear();
-            encode_query_batch_into(&mut self.scratch.out, None, trace, chunk)?;
-            self.stream.write_all(&self.scratch.out)?;
-            let mut buf = [0u8; 65536];
-            match read_frame(&mut self.stream, &mut self.reader, &mut buf)? {
-                Frame::AnswerBatch { entries: got } => {
-                    if got.len() != chunk.len() {
-                        return Err(NetError::Protocol(format!(
-                            "batch of {} queries answered with {} entries",
-                            chunk.len(),
-                            got.len()
-                        )));
-                    }
-                    entries.extend(got);
-                }
-                Frame::Error { message } => return Err(NetError::Query(message)),
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "expected ANSWER2, got {other:?}"
-                    )))
-                }
-            }
+            pipeline.submit(trace, chunk)?;
             sent += chunk.len();
             if sent >= queries.len() {
-                return Ok(entries);
+                break;
             }
         }
+        Ok(pipeline.finish()?.into_iter().flatten().collect())
     }
 
-    /// Batched `precedes`: one boolean per `(m1, m2)` pair, in order, via
-    /// as few round trips as [`MAX_BATCH`] allows.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Query`] if the trace id or *any* pair is rejected (use
-    /// [`QueryClient::batch`] to observe per-query failures
-    /// independently), transport errors otherwise.
-    pub fn precedes_many(
-        &mut self,
-        trace: &str,
-        pairs: &[(u32, u32)],
-    ) -> Result<Vec<bool>, NetError> {
-        let queries: Vec<BatchQuery> = pairs
-            .iter()
-            .map(|&(m1, m2)| BatchQuery {
-                kind: QUERY_PRECEDES,
-                m1,
-                m2,
-            })
-            .collect();
-        self.batch(trace, &queries)?
-            .into_iter()
-            .map(|entry| match entry {
-                BatchEntry::Answer(body) => match body.as_slice() {
-                    [0] => Ok(false),
-                    [1] => Ok(true),
-                    _ => Err(NetError::Protocol(
-                        "boolean answer body is not a single 0/1 byte".to_string(),
-                    )),
-                },
-                BatchEntry::Error(message) => Err(NetError::Query(message)),
-            })
-            .collect()
-    }
-
-    /// [`QueryClient::precedes`] against a named trace of a multi-trace
-    /// catalog (a batch of one).
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryClient::precedes_many`].
-    pub fn precedes_on(&mut self, trace: &str, m1: u32, m2: u32) -> Result<bool, NetError> {
-        self.ask_bool_on(trace, QUERY_PRECEDES, m1, m2)
-    }
-
-    /// [`QueryClient::concurrent`] against a named trace (a batch of one).
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryClient::precedes_many`].
-    pub fn concurrent_on(&mut self, trace: &str, m1: u32, m2: u32) -> Result<bool, NetError> {
-        self.ask_bool_on(trace, QUERY_CONCURRENT, m1, m2)
-    }
-
-    /// [`QueryClient::chain_of`] against a named trace (a batch of one).
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryClient::precedes_many`].
-    pub fn chain_of_on(&mut self, trace: &str, m: u32) -> Result<Vec<u32>, NetError> {
-        let entry = self
-            .batch(
-                trace,
-                &[BatchQuery {
-                    kind: QUERY_CHAIN_OF,
-                    m1: m,
-                    m2: 0,
-                }],
-            )?
-            .pop()
-            .ok_or_else(|| NetError::Protocol("empty batch answer".to_string()))?;
-        match entry {
-            BatchEntry::Answer(body) => parse_chain_body(&body),
-            BatchEntry::Error(message) => Err(NetError::Query(message)),
-        }
-    }
-
-    fn ask_bool_on(&mut self, trace: &str, kind: u8, m1: u32, m2: u32) -> Result<bool, NetError> {
-        let entry = self
-            .batch(trace, &[BatchQuery { kind, m1, m2 }])?
-            .pop()
-            .ok_or_else(|| NetError::Protocol("empty batch answer".to_string()))?;
-        match entry {
-            BatchEntry::Answer(body) => match body.as_slice() {
-                [0] => Ok(false),
-                [1] => Ok(true),
-                _ => Err(NetError::Protocol(
-                    "boolean answer body is not a single 0/1 byte".to_string(),
-                )),
-            },
-            BatchEntry::Error(message) => Err(NetError::Query(message)),
-        }
-    }
-
-    /// Opens a pipelined (protocol v3) session on this connection: up to
-    /// `window` batches stay in flight at once, each tagged with a
-    /// correlation id the server echoes, so the wire never idles for a
-    /// round trip between batches. Answers complete out of order; the
-    /// [`Pipeline`] reassembles them by submission slot.
+    /// Opens a pipelined session on this connection: up to `window`
+    /// batches stay in flight at once, each tagged with a correlation id
+    /// the server echoes, so the wire never idles for a round trip between
+    /// batches. Answers complete out of order; the [`Pipeline`]
+    /// reassembles them by submission slot.
     ///
     /// Dropping a [`Pipeline`] with batches still in flight leaves their
     /// answers unread in the stream — call [`Pipeline::finish`] (or
-    /// [`Pipeline::drain`]) before issuing non-pipelined queries on this
-    /// client again.
+    /// [`Pipeline::drain`]) before issuing other queries on this client
+    /// again.
     pub fn pipeline(&mut self, window: usize) -> Pipeline<'_> {
         self.pipeline_at(window, 0)
     }
@@ -714,12 +487,16 @@ impl QueryClient {
     /// per-entry allocation.
     ///
     /// `batch` is clamped to `1..=`[`MAX_BATCH`]; `window` to at least 1
-    /// (`window == 1` degenerates to [`QueryClient::precedes_many`]'s
-    /// lock-step, still on v3 frames).
+    /// (`window == 1` is lock-step batching).
+    ///
+    /// A rejected answer stops further submissions, but every batch
+    /// already in flight is still read before the error returns, so the
+    /// connection stays in step for the next call.
     ///
     /// # Errors
     ///
-    /// [`NetError::Query`] if the trace id or *any* pair is rejected,
+    /// [`NetError::Query`] if the trace id or *any* pair is rejected (the
+    /// first rejection received is reported),
     /// [`NetError::Correlation`] on an answer for no in-flight batch,
     /// [`NetError::Protocol`] on malformed replies, transport errors
     /// otherwise.
@@ -738,8 +515,19 @@ impl QueryClient {
         let mut buf = vec![0u8; 65536];
         let mut submitted = 0usize;
         let mut completed = 0usize;
-        while completed < chunk_count {
-            while submitted < chunk_count && submitted - completed < window {
+        let mut failure: Option<NetError> = None;
+        loop {
+            // After a rejection nothing more is submitted, but the batches
+            // already in flight are still read off the stream.
+            let target = if failure.is_none() {
+                chunk_count
+            } else {
+                submitted
+            };
+            if completed >= target {
+                break;
+            }
+            while failure.is_none() && submitted < chunk_count && submitted - completed < window {
                 let lo = submitted * batch;
                 let hi = pairs.len().min(lo + batch);
                 self.scratch.queries.clear();
@@ -753,29 +541,43 @@ impl QueryClient {
                 self.scratch.out.clear();
                 encode_query_batch_into(
                     &mut self.scratch.out,
-                    Some(submitted as u32),
+                    submitted as u32,
                     trace,
                     &self.scratch.queries,
                 )?;
                 self.stream.write_all(&self.scratch.out)?;
                 submitted += 1;
             }
-            self.recv_pipelined_bools(batch, &mut results, &mut done, &mut buf)?;
-            completed += 1;
+            if let Some(e) =
+                self.recv_pipelined_bools(batch, &mut results, &mut done, &mut completed, &mut buf)?
+            {
+                failure.get_or_insert(e);
+            }
         }
-        Ok(results)
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(results),
+        }
     }
 
     /// Receives one ANSWER3 frame and scatters its booleans into
-    /// `results` at the slot its correlation id names. The borrowed-view
-    /// decode path: nothing is allocated per entry.
+    /// `results` at the slot its correlation id names, counting the slot
+    /// in `completed`. The borrowed-view decode path: nothing is
+    /// allocated per entry.
+    ///
+    /// `Ok(Some(e))` is a frame consumed whole but rejected — a stray
+    /// correlation id (which completes no slot), or an answer for a slot
+    /// that carries a rejected entry. The stream stays in step either
+    /// way. `Err` means it is unusable: transport failure, broken
+    /// framing, or an ERROR frame the server closes after.
     fn recv_pipelined_bools(
         &mut self,
         batch: usize,
         results: &mut [bool],
         done: &mut [bool],
+        completed: &mut usize,
         buf: &mut [u8],
-    ) -> Result<(), NetError> {
+    ) -> Result<Option<NetError>, NetError> {
         loop {
             if self.reader.peek_frame()?.is_some() {
                 break;
@@ -810,13 +612,15 @@ impl QueryClient {
         // Resolve the slot before touching results; a stray or duplicate
         // correlation id consumes its frame and surfaces typed, leaving
         // the connection alive.
-        let outcome: Result<(), NetError> = if slot >= done.len() || done[slot] {
-            Err(NetError::Correlation(corr))
+        let rejected = if slot >= done.len() || done[slot] {
+            Some(NetError::Correlation(corr))
         } else {
+            done[slot] = true;
+            *completed += 1;
             let lo = slot * batch;
             let hi = results.len().min(lo + batch);
             if view.count() != hi - lo {
-                Err(NetError::Protocol(format!(
+                Some(NetError::Protocol(format!(
                     "batch of {} queries answered with {} entries",
                     hi - lo,
                     view.count()
@@ -846,23 +650,17 @@ impl QueryClient {
                         }
                     }
                 }
-                match failure {
-                    Some(e) => Err(e),
-                    None => {
-                        done[slot] = true;
-                        Ok(())
-                    }
-                }
+                failure
             }
         };
         self.reader.consume_frame();
-        outcome
+        Ok(rejected)
     }
 }
 
-/// A pipelined (protocol v3) query session: keeps up to W batches in
-/// flight on one connection, completing them out of order by correlation
-/// id. Created by [`QueryClient::pipeline`].
+/// A pipelined query session: keeps up to W batches in flight on one
+/// connection, completing them out of order by correlation id. Created by
+/// [`QueryClient::pipeline`].
 ///
 /// [`Pipeline::submit`] blocks only when the window is full (it receives
 /// one answer to make room); [`Pipeline::drain`] /[`Pipeline::finish`]
@@ -893,8 +691,8 @@ impl Pipeline<'_> {
     ///
     /// # Errors
     ///
-    /// [`NetError::Query`] on an oversized batch or trace id (or a
-    /// server-rejected trace on the answer that made room),
+    /// [`NetError::Query`] on an oversized batch or trace id (or an ERROR
+    /// frame the server sent instead of the answer that made room),
     /// [`NetError::Correlation`] when an answer matches no in-flight
     /// batch, transport errors otherwise.
     pub fn submit(&mut self, trace: &str, queries: &[BatchQuery]) -> Result<usize, NetError> {
@@ -911,7 +709,7 @@ impl Pipeline<'_> {
         }
         self.next_corr = corr.wrapping_add(1);
         self.client.scratch.out.clear();
-        encode_query_batch_into(&mut self.client.scratch.out, Some(corr), trace, queries)?;
+        encode_query_batch_into(&mut self.client.scratch.out, corr, trace, queries)?;
         self.client.stream.write_all(&self.client.scratch.out)?;
         let slot = self.results.len();
         self.inflight.insert(corr, slot);
@@ -934,7 +732,7 @@ impl Pipeline<'_> {
     /// # Errors
     ///
     /// [`NetError::Correlation`] on an answer for no in-flight batch,
-    /// [`NetError::Query`] when the server rejected a batch's trace,
+    /// [`NetError::Query`] on an ERROR frame (the server closes after one),
     /// [`NetError::Protocol`] on malformed replies, transport errors
     /// otherwise.
     pub fn drain(&mut self) -> Result<(), NetError> {
@@ -1020,52 +818,63 @@ mod tests {
     use super::*;
     use synctime_core::VectorTime;
 
-    fn diamond() -> QueryService {
+    fn diamond() -> MessageTimestamps {
         // m0 < m1, m0 < m2, m1 ∥ m2, m1 < m3, m2 < m3.
-        QueryService::new(MessageTimestamps::new(vec![
+        MessageTimestamps::new(vec![
             VectorTime::from(vec![1, 0]),
             VectorTime::from(vec![2, 0]),
             VectorTime::from(vec![1, 1]),
             VectorTime::from(vec![2, 2]),
-        ]))
+        ])
     }
 
     #[test]
-    fn service_answers_all_kinds() {
-        let svc = diamond();
-        assert_eq!(svc.answer(QUERY_PRECEDES, 0, 1).unwrap(), vec![1]);
-        assert_eq!(svc.answer(QUERY_PRECEDES, 1, 0).unwrap(), vec![0]);
-        assert_eq!(svc.answer(QUERY_CONCURRENT, 1, 2).unwrap(), vec![1]);
-        assert_eq!(svc.answer(QUERY_CONCURRENT, 0, 3).unwrap(), vec![0]);
-        let chain = svc.answer(QUERY_CHAIN_OF, 1, 0).unwrap();
+    fn answers_all_kinds() {
+        let stamps = diamond();
+        let answer = |kind, m1, m2| {
+            let mut body = Vec::new();
+            answer_query_into(&stamps, kind, m1, m2, &mut body).map(|()| body)
+        };
+        assert_eq!(answer(QUERY_PRECEDES, 0, 1).unwrap(), vec![1]);
+        assert_eq!(answer(QUERY_PRECEDES, 1, 0).unwrap(), vec![0]);
+        assert_eq!(answer(QUERY_CONCURRENT, 1, 2).unwrap(), vec![1]);
+        assert_eq!(answer(QUERY_CONCURRENT, 0, 3).unwrap(), vec![0]);
+        let chain = answer(QUERY_CHAIN_OF, 1, 0).unwrap();
         // m1's ordered set: m0 < m1 < m3 (m2 is concurrent with m1).
         assert_eq!(chain[..4], 3u32.to_le_bytes());
-        assert!(svc.answer(QUERY_PRECEDES, 0, 99).is_err());
-        assert!(svc.answer(77, 0, 1).is_err());
+        assert!(answer(QUERY_PRECEDES, 0, 99).is_err());
+        assert!(answer(77, 0, 1).is_err());
+        // A rejected query appends nothing to the caller's buffer.
+        let mut body = vec![9];
+        assert!(answer_query_into(&stamps, QUERY_PRECEDES, 0, 99, &mut body).is_err());
+        assert_eq!(body, vec![9]);
     }
 
     #[test]
     fn server_and_client_roundtrip_over_loopback() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
+        let fabric = std::sync::Arc::new(QueryFabric::single(DEFAULT_TRACE_NAME, diamond()));
         std::thread::spawn(move || {
-            let _ = serve(listener, diamond());
+            let _ = crate::pool::serve_fabric(listener, fabric, 1);
         });
         let mut client = QueryClient::connect(&addr.to_string()).unwrap();
-        assert!(client.precedes(0, 3).unwrap());
-        assert!(!client.precedes(3, 0).unwrap());
-        assert!(client.concurrent(1, 2).unwrap());
-        assert_eq!(client.chain_of(1).unwrap(), vec![0, 1, 3]);
-        let err = client.precedes(0, 99).unwrap_err();
+        assert!(client.precedes("", 0, 3).unwrap());
+        assert!(!client.precedes("", 3, 0).unwrap());
+        assert!(client.concurrent("", 1, 2).unwrap());
+        assert_eq!(client.chain_of("", 1).unwrap(), vec![0, 1, 3]);
+        // The default trace answers to its name as well as to "".
+        assert!(client.precedes(DEFAULT_TRACE_NAME, 0, 3).unwrap());
+        let err = client.precedes("", 0, 99).unwrap_err();
         assert!(matches!(err, NetError::Query(_)), "{err}");
         // The connection survives a rejected query.
-        assert!(client.precedes(0, 1).unwrap());
+        assert!(client.precedes("", 0, 1).unwrap());
     }
 
     /// A client whose stream nobody reads, for driving Pipeline
     /// bookkeeping without a server.
     fn inert_client() -> QueryClient {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let stream = TcpStream::connect(addr).unwrap();
         let (sink, _) = listener.accept().unwrap();

@@ -1,9 +1,10 @@
-//! Integration and property tests for the protocol v3 pipelined query
-//! path: out-of-order ANSWER3 frames with shuffled correlation ids
-//! reassemble into exactly what sequential v2 batches return, an unknown
-//! correlation id is a typed, recoverable error that leaves the
-//! connection alive, and batch chunking at exact `MAX_BATCH` multiples
-//! sends no phantom trailing frame.
+//! Integration and property tests for the pipelined query path:
+//! out-of-order ANSWER3 frames with shuffled correlation ids reassemble
+//! into exactly what the local oracle (`answer_query_into` on the served
+//! snapshot) answers, an unknown correlation id is a typed, recoverable
+//! error that leaves the connection alive, a rejected pipelined call
+//! leaves nothing in flight for the next call, and batch chunking at exact
+//! `MAX_BATCH` multiples sends no phantom trailing frame.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -13,8 +14,8 @@ use proptest::prelude::*;
 use synctime_core::{MessageTimestamps, VectorTime};
 use synctime_net::query::{QUERY_CHAIN_OF, QUERY_CONCURRENT, QUERY_PRECEDES};
 use synctime_net::{
-    answer_query, serve_fabric, BatchEntry, BatchQuery, Frame, FrameReader, NetError, QueryClient,
-    QueryFabric, MAX_BATCH, PROTOCOL_VERSION,
+    answer_query_into, serve_fabric, BatchEntry, BatchQuery, Frame, FrameReader, NetError,
+    QueryClient, QueryFabric, MAX_BATCH, PROTOCOL_VERSION,
 };
 
 /// m0 < m1, m0 < m2, m1 ∥ m2, m1 < m3, m2 < m3.
@@ -25,6 +26,21 @@ fn diamond() -> MessageTimestamps {
         VectorTime::from(vec![1, 1]),
         VectorTime::from(vec![2, 2]),
     ])
+}
+
+/// The local oracle: the entries a server holding `stamps` must answer.
+fn oracle(stamps: &MessageTimestamps, queries: &[BatchQuery]) -> Vec<BatchEntry> {
+    queries
+        .iter()
+        .map(|q| {
+            let mut body = Vec::new();
+            match answer_query_into(stamps, q.kind, q.m1, q.m2, &mut body) {
+                Ok(()) => BatchEntry::Answer(body),
+                Err(NetError::Query(detail)) => BatchEntry::Error(detail),
+                Err(e) => BatchEntry::Error(e.to_string()),
+            }
+        })
+        .collect()
 }
 
 /// An 8-message chain: m_i < m_j iff i < j.
@@ -91,7 +107,7 @@ fn mock_handshake(stream: &mut TcpStream) -> FrameReader {
     reader
 }
 
-/// A mock v3 server that answers deliberately out of order. Each entry of
+/// A mock query server that answers deliberately out of order. Each entry of
 /// `rounds` is a count of QUERY3 frames to collect before answering them
 /// all, in the order `permutation(count, seed)`. Before the *first*
 /// round's answers, it injects one stray ANSWER3 per entry of
@@ -118,15 +134,7 @@ fn shuffled_answer_server(
                         trace: _,
                         queries,
                     }) => {
-                        let entries = queries
-                            .iter()
-                            .map(|q| match answer_query(&stamps, q.kind, q.m1, q.m2) {
-                                Ok(body) => BatchEntry::Answer(body),
-                                Err(NetError::Query(detail)) => BatchEntry::Error(detail),
-                                Err(e) => BatchEntry::Error(e.to_string()),
-                            })
-                            .collect();
-                        batches.push((corr, entries));
+                        batches.push((corr, oracle(&stamps, &queries)));
                     }
                     Some(other) => panic!("expected QUERY3, got {other:?}"),
                     None => {
@@ -168,10 +176,11 @@ fn shuffled_answer_server(
     addr
 }
 
-/// Pipelined answers against the *real* fabric server match the v2
-/// lock-step path, at every window width.
+/// Pipelined answers against the *real* fabric server match the local
+/// oracle, at every window width and batch size (batch 1 at window 1 is
+/// one lock-step query per round trip).
 #[test]
-fn pipelined_bools_match_v2_on_a_live_fabric() {
+fn pipelined_bools_match_the_local_oracle_on_a_live_fabric() {
     let stamps = chain();
     let fabric = QueryFabric::new(4);
     fabric.publish("t", stamps.clone());
@@ -183,8 +192,25 @@ fn pipelined_bools_match_v2_on_a_live_fabric() {
             pairs.push((m1, m2));
         }
     }
+    let queries: Vec<BatchQuery> = pairs
+        .iter()
+        .map(|&(m1, m2)| BatchQuery {
+            kind: QUERY_PRECEDES,
+            m1,
+            m2,
+        })
+        .collect();
+    let expected: Vec<bool> = oracle(&stamps, &queries)
+        .into_iter()
+        .map(|entry| entry == BatchEntry::Answer(vec![1]))
+        .collect();
     let mut client = QueryClient::connect(&addr.to_string()).expect("connect");
-    let expected = client.precedes_many("t", &pairs).expect("v2 answers");
+    for (batch, window) in [(1, 1), (MAX_BATCH, 1)] {
+        let got = client
+            .precedes_many_pipelined("t", &pairs, batch, window)
+            .expect("lock-step answers");
+        assert_eq!(got, expected, "batch {batch}, window {window}");
+    }
     for window in [1, 4, 16] {
         let got = client
             .precedes_many_pipelined("t", &pairs, 5, window)
@@ -237,6 +263,32 @@ fn unknown_correlation_id_is_typed_and_recoverable() {
     assert_eq!(results[1], vec![BatchEntry::Answer(vec![0])]);
 }
 
+/// Desync regression: a pipelined call whose first answer is rejected
+/// used to return at once, leaving its later ANSWER3 frames unread. The
+/// next call restarted correlation ids at 0 and took those stale answers
+/// as its own (it returned `[false, true, true, true]` here). Every
+/// answer of the failed call must be read before its error returns.
+#[test]
+fn rejected_pipelined_call_leaves_no_answers_in_flight() {
+    let fabric = QueryFabric::new(1);
+    fabric.publish("t", diamond());
+    let addr = fabric_server(fabric, 1);
+    let mut client = QueryClient::connect(&addr.to_string()).expect("connect");
+
+    let err = client
+        .precedes_many_pipelined("t", &[(0, 99), (0, 3), (0, 3), (0, 3)], 1, 4)
+        .unwrap_err();
+    assert!(
+        matches!(&err, NetError::Query(m) if m.contains("out of range")),
+        "{err}"
+    );
+    // m3 precedes nothing: the local truth is all false.
+    let got = client
+        .precedes_many_pipelined("t", &[(3, 0); 4], 1, 4)
+        .expect("second call");
+    assert_eq!(got, vec![false; 4]);
+}
+
 /// Chunking regression: batches of exactly `MAX_BATCH` and exactly
 /// `2 * MAX_BATCH` queries round-trip with one entry per query (the seed
 /// bug sent a phantom trailing frame at exact multiples, desynchronising
@@ -259,23 +311,17 @@ fn batch_chunking_at_exact_max_batch_multiples() {
             .collect();
         let entries = client.batch("t", &queries).expect("exact-multiple batch");
         assert_eq!(entries.len(), total);
-        for (q, entry) in queries.iter().zip(&entries) {
-            let expected = answer_query(&stamps, q.kind, q.m1, q.m2).expect("in range");
-            assert_eq!(entry, &BatchEntry::Answer(expected));
-        }
+        assert_eq!(entries, oracle(&stamps, &queries));
         // The connection is still framed correctly after the exact
         // multiple: a follow-up single query answers.
-        assert!(client.precedes_on("t", 0, 3).expect("still in sync"));
+        assert!(client.precedes("t", 0, 3).expect("still in sync"));
     }
 
-    // Empty batch: no entries, but the trace id is still validated
-    // server-side (one frame goes out even with nothing to ask).
+    // Empty batch: one empty frame goes out and one empty answer comes
+    // back, against a known trace or not, and the stream stays in step.
     assert_eq!(client.batch("t", &[]).expect("empty batch"), vec![]);
-    let err = client.batch("missing", &[]).unwrap_err();
-    assert!(
-        matches!(&err, NetError::Query(m) if m.contains("unknown trace")),
-        "{err}"
-    );
+    assert_eq!(client.batch("missing", &[]).expect("empty batch"), vec![]);
+    assert!(client.precedes("t", 0, 3).expect("still in sync"));
 }
 
 prop_compose! {
@@ -298,11 +344,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Out-of-order ANSWER3 reassembly: batches answered in a shuffled
-    /// order by a mock server produce exactly the entries sequential v2
-    /// batches produce against the real fabric — including error entries
-    /// for out-of-range ids.
+    /// order by a mock server produce exactly the entries the local oracle
+    /// gives — including error entries for out-of-range ids — and so do
+    /// the same batches asked lock-step of the real fabric.
     #[test]
-    fn shuffled_answers_reassemble_like_sequential_v2(
+    fn shuffled_answers_reassemble_like_the_local_oracle(
         shuffle_seed in any::<u64>(),
         window in 1usize..10,
         batches in proptest::collection::vec(
@@ -312,22 +358,23 @@ proptest! {
     ) {
         let stamps = diamond();
 
-        // Ground truth: sequential v2 batches against the real fabric.
+        // Ground truth: the local oracle, which sequential lock-step
+        // batches against the real fabric must match too.
+        let expected: Vec<Vec<BatchEntry>> = batches.iter().map(|b| oracle(&stamps, b)).collect();
         let fabric = QueryFabric::new(2);
         fabric.publish("t", stamps.clone());
-        let v2_addr = fabric_server(fabric, 1);
-        let mut v2 = QueryClient::connect(&v2_addr.to_string()).expect("connect v2");
-        let expected: Vec<Vec<BatchEntry>> = batches
-            .iter()
-            .map(|b| v2.batch("t", b).expect("v2 batch"))
-            .collect();
+        let live_addr = fabric_server(fabric, 1);
+        let mut live = QueryClient::connect(&live_addr.to_string()).expect("connect live");
+        for (batch, want) in batches.iter().zip(&expected) {
+            prop_assert_eq!(&live.batch("t", batch).expect("lock-step batch"), want);
+        }
 
         // Pipelined against the shuffling mock. The window must admit
         // every batch before any answer is read, because the mock only
         // answers once it holds all of them.
         let window = window.max(batches.len());
         let addr = shuffled_answer_server(stamps, vec![batches.len()], shuffle_seed, vec![]);
-        let mut client = QueryClient::connect(&addr.to_string()).expect("connect v3");
+        let mut client = QueryClient::connect(&addr.to_string()).expect("connect");
         let mut pipeline = client.pipeline(window);
         for (i, batch) in batches.iter().enumerate() {
             prop_assert_eq!(pipeline.submit("t", batch).expect("submit"), i);

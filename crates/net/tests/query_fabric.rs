@@ -1,17 +1,20 @@
 //! Integration tests for the sharded multi-trace query fabric: a batched
-//! v2 client against a catalog server answers **identically** to N
-//! sequential v1 queries against per-trace v1 servers, trace-id failures
-//! are recoverable, copy-on-write republish is visible to live
-//! connections, and a one-worker pool still serves every connection.
+//! client against a catalog server answers **identically** to N
+//! sequential single queries against per-trace single-trace servers and
+//! to the local oracle, trace-id failures are recoverable, copy-on-write
+//! republish is visible to live connections, a one-worker pool still
+//! serves every connection, and the server refuses stale protocol
+//! versions and retired frame types.
 
-use std::net::{SocketAddr, TcpListener};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
 use synctime_core::{MessageTimestamps, VectorTime};
-use synctime_net::query::{serve, QUERY_CHAIN_OF, QUERY_CONCURRENT, QUERY_PRECEDES};
+use synctime_net::query::{QUERY_CHAIN_OF, QUERY_CONCURRENT, QUERY_PRECEDES};
 use synctime_net::{
-    answer_query, serve_fabric, BatchEntry, BatchQuery, NetError, QueryClient, QueryFabric,
-    QueryService,
+    answer_query_into, serve_fabric, BatchEntry, BatchQuery, Frame, FrameReader, NetError,
+    QueryClient, QueryFabric, DEFAULT_TRACE_NAME, MAX_BATCH, PROTOCOL_VERSION,
 };
 
 /// m0 < m1, m0 < m2, m1 ∥ m2, m1 < m3, m2 < m3.
@@ -55,21 +58,18 @@ fn fabric_server(fabric: QueryFabric, workers: usize) -> SocketAddr {
     addr
 }
 
-fn v1_server(stamps: MessageTimestamps) -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    std::thread::spawn(move || {
-        let _ = serve(listener, QueryService::new(stamps));
-    });
-    addr
+/// A dedicated single-trace server, the way `serve-query --trace` runs.
+fn single_trace_server(stamps: MessageTimestamps) -> SocketAddr {
+    fabric_server(QueryFabric::single(DEFAULT_TRACE_NAME, stamps), 1)
 }
 
 /// The headline acceptance test: every query of every trace, asked (a) as
-/// one big v2 batch against the sharded fabric, (b) sequentially over v1
-/// frames against a dedicated single-trace server, and (c) locally via
-/// `answer_query`, produces byte-identical answer bodies.
+/// one big batch against the sharded fabric, (b) sequentially, one query
+/// per round trip, against a dedicated single-trace server, and (c)
+/// locally via `answer_query_into`, produces byte-identical answer
+/// bodies.
 #[test]
-fn batched_answers_match_sequential_v1_across_shards() {
+fn batched_answers_match_sequential_single_queries_across_shards() {
     let traces: Vec<(&str, MessageTimestamps)> = vec![
         ("diamond", diamond()),
         ("chain", chain()),
@@ -104,7 +104,8 @@ fn batched_answers_match_sequential_v1_across_shards() {
 
         // (c) local ground truth, byte for byte.
         for (q, entry) in queries.iter().zip(&entries) {
-            let expected = answer_query(stamps, q.kind, q.m1, q.m2).expect("in-range query");
+            let mut expected = Vec::new();
+            answer_query_into(stamps, q.kind, q.m1, q.m2, &mut expected).expect("in-range query");
             assert_eq!(
                 entry,
                 &BatchEntry::Answer(expected),
@@ -112,10 +113,11 @@ fn batched_answers_match_sequential_v1_across_shards() {
             );
         }
 
-        // (b) a v1 single-trace server answers the same queries one frame
-        // at a time; its typed answers must agree with the batch bodies.
-        let v1_addr = v1_server(stamps.clone());
-        let mut v1 = QueryClient::connect(&v1_addr.to_string()).expect("connect v1");
+        // (b) a single-trace server answers the same queries one batch of
+        // one at a time, addressed by the empty (default) trace id; its
+        // typed answers must agree with the batch bodies.
+        let single_addr = single_trace_server(stamps.clone());
+        let mut single = QueryClient::connect(&single_addr.to_string()).expect("connect single");
         let mut it = entries.iter();
         for kind in [QUERY_PRECEDES, QUERY_CONCURRENT, QUERY_CHAIN_OF] {
             for m1 in 0..stamps.len() as u32 {
@@ -123,15 +125,15 @@ fn batched_answers_match_sequential_v1_across_shards() {
                     let entry = it.next().expect("positional entry");
                     match kind {
                         QUERY_PRECEDES => {
-                            let sequential = v1.precedes(m1, m2).expect("v1 precedes");
+                            let sequential = single.precedes("", m1, m2).expect("precedes");
                             assert_eq!(entry, &BatchEntry::Answer(vec![u8::from(sequential)]));
                         }
                         QUERY_CONCURRENT => {
-                            let sequential = v1.concurrent(m1, m2).expect("v1 concurrent");
+                            let sequential = single.concurrent("", m1, m2).expect("concurrent");
                             assert_eq!(entry, &BatchEntry::Answer(vec![u8::from(sequential)]));
                         }
                         _ => {
-                            let sequential = v1.chain_of(m1).expect("v1 chain");
+                            let sequential = single.chain_of("", m1).expect("chain");
                             let mut body = (sequential.len() as u32).to_le_bytes().to_vec();
                             for id in sequential {
                                 body.extend_from_slice(&id.to_le_bytes());
@@ -145,7 +147,7 @@ fn batched_answers_match_sequential_v1_across_shards() {
     }
 }
 
-/// A bad trace id fails the batch with a typed error and leaves the
+/// A bad trace id fails every entry of its batch and leaves the
 /// connection usable; a bad message id fails only its own entry.
 #[test]
 fn trace_and_entry_failures_are_recoverable() {
@@ -160,7 +162,15 @@ fn trace_and_entry_failures_are_recoverable() {
         m1: 0,
         m2: 1,
     };
-    let err = client.batch("missing", &[q]).unwrap_err();
+    let entries = client.batch("missing", &[q, q]).expect("answered batch");
+    assert_eq!(entries.len(), 2);
+    for entry in &entries {
+        assert!(
+            matches!(entry, BatchEntry::Error(m) if m.contains("unknown trace")),
+            "{entry:?}"
+        );
+    }
+    let err = client.precedes("missing", 0, 1).unwrap_err();
     assert!(
         matches!(&err, NetError::Query(m) if m.contains("unknown trace")),
         "{err}"
@@ -189,34 +199,34 @@ fn trace_and_entry_failures_are_recoverable() {
     assert!(matches!(&entries[1], BatchEntry::Error(m) if m.contains("out of range")));
 
     // The convenience wrappers route through the same trace ids.
-    assert!(client.precedes_on("b", 0, 4).unwrap());
-    assert!(client.concurrent_on("a", 1, 2).unwrap());
-    assert_eq!(client.chain_of_on("a", 1).unwrap(), vec![0, 1, 3]);
+    assert!(client.precedes("b", 0, 4).unwrap());
+    assert!(client.concurrent("a", 1, 2).unwrap());
+    assert_eq!(client.chain_of("a", 1).unwrap(), vec![0, 1, 3]);
     assert_eq!(
         client
-            .precedes_many("b", &[(0, 1), (1, 0), (2, 4)])
+            .precedes_many_pipelined("b", &[(0, 1), (1, 0), (2, 4)], MAX_BATCH, 1)
             .unwrap(),
         vec![true, false, true]
     );
 }
 
-/// A v1 single query (empty trace id) is only answerable when the catalog
-/// has exactly one trace; against a multi-trace catalog it is refused with
-/// a diagnostic naming the trace count.
+/// A query on the empty (default) trace id is only answerable when the
+/// catalog has exactly one trace; against a multi-trace catalog it is
+/// refused with a diagnostic naming the trace count.
 #[test]
-fn v1_queries_need_an_unambiguous_default_trace() {
+fn default_trace_queries_need_an_unambiguous_catalog() {
     let fabric = QueryFabric::new(4);
     fabric.publish("a", diamond());
     fabric.publish("b", chain());
     let addr = fabric_server(fabric, 2);
     let mut client = QueryClient::connect(&addr.to_string()).expect("connect");
-    let err = client.precedes(0, 1).unwrap_err();
+    let err = client.precedes("", 0, 1).unwrap_err();
     assert!(
         matches!(&err, NetError::Query(m) if m.contains("2 traces")),
         "{err}"
     );
     // Naming the trace works on the same connection.
-    assert!(client.precedes_on("a", 0, 1).expect("named trace"));
+    assert!(client.precedes("a", 0, 1).expect("named trace"));
 }
 
 /// Republishing a trace while the server is live (copy-on-write) changes
@@ -233,11 +243,11 @@ fn republish_is_visible_to_live_connections() {
     });
     let mut client = QueryClient::connect(&addr.to_string()).expect("connect");
     // chain(): m0 < m1.
-    assert!(client.precedes_on("t", 0, 1).unwrap());
+    assert!(client.precedes("t", 0, 1).unwrap());
     // Republish with lattice(): m0 ∥ m1 now.
     fabric.publish("t", lattice());
-    assert!(!client.precedes_on("t", 0, 1).unwrap());
-    assert!(client.concurrent_on("t", 0, 1).unwrap());
+    assert!(!client.precedes("t", 0, 1).unwrap());
+    assert!(client.concurrent("t", 0, 1).unwrap());
 }
 
 /// Resharding a live catalog re-homes every trace to its new ring owner
@@ -275,8 +285,85 @@ fn single_worker_pool_serves_sequential_connections() {
     let addr = fabric_server(fabric, 1);
     for _ in 0..3 {
         let mut client = QueryClient::connect(&addr.to_string()).expect("connect");
-        assert!(client.precedes_on("t", 0, 3).unwrap());
+        assert!(client.precedes("t", 0, 3).unwrap());
         // Dropping the client closes the socket and frees the worker.
+    }
+}
+
+/// Dials `addr` and sends a HELLO speaking `version`; returns the stream
+/// and the first frame the server sends back.
+fn raw_hello(addr: SocketAddr, version: u16) -> (TcpStream, FrameReader, Frame) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let hello = Frame::Hello {
+        version,
+        topology_hash: 0,
+        process: u32::MAX,
+    };
+    stream
+        .write_all(&hello.encode().expect("HELLO encodes"))
+        .expect("send HELLO");
+    let mut reader = FrameReader::new();
+    let frame = next_frame(&mut stream, &mut reader).expect("server reply");
+    (stream, reader, frame)
+}
+
+/// Reads the next frame, or `None` once the server has closed.
+fn next_frame(stream: &mut TcpStream, reader: &mut FrameReader) -> Option<Frame> {
+    let mut buf = [0u8; 4096];
+    loop {
+        if let Some(frame) = reader.next_frame().expect("well-formed frame") {
+            return Some(frame);
+        }
+        let n = stream.read(&mut buf).expect("read");
+        if n == 0 {
+            return None;
+        }
+        reader.feed(&buf[..n]);
+    }
+}
+
+/// The query port checks the protocol version exactly, like the mesh: a
+/// client still speaking version 3 is refused at the handshake with a
+/// version diagnostic, not served until its first retired frame.
+#[test]
+fn stale_protocol_version_is_refused_at_the_handshake() {
+    let addr = single_trace_server(diamond());
+    let (mut stream, mut reader, reply) = raw_hello(addr, 3);
+    match reply {
+        Frame::Error { message } => assert!(message.contains("version"), "{message}"),
+        other => panic!("expected a version refusal, got {other:?}"),
+    }
+    assert_eq!(
+        next_frame(&mut stream, &mut reader),
+        None,
+        "server kept the connection"
+    );
+}
+
+/// The retired query frame types (4/5 single-query, 7/8 lock-step batch)
+/// get a final ERROR frame from a live server, which then closes.
+#[test]
+fn retired_query_frame_types_get_an_error_and_close() {
+    let addr = single_trace_server(diamond());
+    for ty in [4u8, 5, 7, 8] {
+        let (mut stream, mut reader, reply) = raw_hello(addr, PROTOCOL_VERSION);
+        assert!(matches!(reply, Frame::Hello { .. }), "{reply:?}");
+        // The retired single-query body layout: kind 0, m1 0, m2 1.
+        let mut raw = 10u32.to_le_bytes().to_vec();
+        raw.push(ty);
+        raw.extend_from_slice(&[0, 0, 0, 0, 0, 1, 0, 0, 0]);
+        stream.write_all(&raw).expect("send retired frame");
+        match next_frame(&mut stream, &mut reader) {
+            Some(Frame::Error { message }) => {
+                assert!(message.contains(&format!("frame type {ty}")), "{message}")
+            }
+            other => panic!("type {ty}: expected a final ERROR, got {other:?}"),
+        }
+        assert_eq!(
+            next_frame(&mut stream, &mut reader),
+            None,
+            "type {ty}: not closed"
+        );
     }
 }
 

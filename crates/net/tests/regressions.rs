@@ -5,7 +5,7 @@
 //!    ids are now a wrapping counter that skips in-flight ids;
 //! 2. `Pipeline::finish` papered over an unanswered slot with an empty
 //!    entry list — it now returns a typed `NetError::Incomplete`;
-//! 3. a QUERY2/QUERY3 trace id longer than 65535 bytes was silently
+//! 3. a QUERY3 trace id longer than 65535 bytes was silently
 //!    truncated by the `u16` length cast — now a typed error on the
 //!    encode path, mirrored by a decode-side cap.
 
@@ -131,8 +131,9 @@ fn withholding_server(stamps: MessageTimestamps, withhold: u32, expect: usize) -
                     let entries = queries
                         .iter()
                         .map(|q| {
-                            synctime_net::answer_query(&stamps, q.kind, q.m1, q.m2)
-                                .map(BatchEntry::Answer)
+                            let mut body = Vec::new();
+                            synctime_net::answer_query_into(&stamps, q.kind, q.m1, q.m2, &mut body)
+                                .map(|()| BatchEntry::Answer(body))
                                 .unwrap_or_else(|e| BatchEntry::Error(e.to_string()))
                         })
                         .collect();
@@ -188,7 +189,7 @@ fn withheld_answer_is_a_typed_error_not_an_empty_result() {
 }
 
 /// Oversized trace ids are refused with a typed error everywhere they
-/// could enter the wire — batch and pipelined clients, the owned frame
+/// could enter the wire — batch, single-query and pipelined clients, the owned frame
 /// encoder, and the decode path — instead of being truncated by the
 /// `u16` length cast (the original bug: a 65537-byte name encoded a
 /// 1-byte length and desynchronised the frame).
@@ -198,21 +199,13 @@ fn oversized_trace_ids_are_typed_errors_on_every_path() {
 
     // Encode helper: typed error, nothing appended.
     let mut out = Vec::new();
-    match encode_query_batch_into(&mut out, None, &long, &[]) {
+    match encode_query_batch_into(&mut out, 0, &long, &[]) {
         Err(NetError::Query(detail)) => assert!(detail.contains("bound"), "{detail}"),
         other => panic!("expected a typed Query error, got {other:?}"),
     }
     assert!(out.is_empty(), "error path appended bytes");
 
-    // Owned frame encoder (both batch shapes).
-    assert!(matches!(
-        Frame::QueryBatch {
-            trace: long.clone(),
-            queries: vec![],
-        }
-        .encode(),
-        Err(NetError::Query(_))
-    ));
+    // Owned frame encoder.
     assert!(matches!(
         Frame::QueryPipelined {
             corr: 7,
@@ -229,6 +222,10 @@ fn oversized_trace_ids_are_typed_errors_on_every_path() {
     let addr = fabric_server(fabric, 1);
     let mut client = QueryClient::connect(&addr.to_string()).expect("connect");
     assert!(matches!(client.batch(&long, &[]), Err(NetError::Query(_))));
+    assert!(matches!(
+        client.precedes(&long, 0, 1),
+        Err(NetError::Query(_))
+    ));
     assert!(matches!(
         client.precedes_many_pipelined(&long, &[(0, 1)], 16, 4),
         Err(NetError::Query(_))

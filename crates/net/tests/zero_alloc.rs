@@ -100,7 +100,7 @@ fn steady_state_pump_allocates_nothing() {
         })
         .collect();
     let mut wire = Vec::new();
-    encode_query_batch_into(&mut wire, Some(42), "t", &queries).expect("in-bounds batch");
+    encode_query_batch_into(&mut wire, 42, "t", &queries).expect("in-bounds batch");
 
     let mut reader = FrameReader::new();
     let mut scratch = FrameScratch::new();

@@ -21,12 +21,13 @@
 #      sparse-vs-dense speedup claim in the full report)
 #   9. bench-smoke: the net_query suite at CI scale, checking both its own
 #      smoke report and the checked-in results/ JSON against the
-#      synctime/bench_net/v3 schema (full reports must clear the >= 10k
-#      single-query floor, >= 3x batch-256 speedup over single-connection
-#      v1, >= 500k aggregate fabric queries/sec at amortised p99 <= 250us,
-#      >= 1.5x W=16 pipelined speedup over lock-step batch-256, >= 1.3x
-#      vectorized merge-kernel speedup at d=256, and zero steady-state
-#      serving allocations)
+#      synctime/bench_net/v4 schema (full reports must clear the >= 10k
+#      single-query (batch-of-one) floor, >= 3x lock-step batch-256
+#      speedup over single-connection single queries, >= 500k aggregate
+#      fabric queries/sec at amortised p99 <= 250us, >= 1.5x W=16
+#      pipelined speedup over lock-step batch-256, >= 1.3x vectorized
+#      merge-kernel speedup at d=256, and zero steady-state serving
+#      allocations)
 #  10. bench-smoke: the clock_backends suite at CI scale, checking both its
 #      own smoke report and the checked-in results/ JSON against the
 #      synctime/bench_clocks/v1 schema (full reports must clear the >= 2x
@@ -38,14 +39,16 @@
 #  12. net-smoke: `launch --transport tcp` (one OS process per synchronous
 #      process over loopback TCP) must emit a trace byte-identical to the
 #      in-process `run`; `serve-query` must answer the fixture's three
-#      known precedence queries over the wire; a 2-trace `--traces-dir`
-#      catalog must answer named-trace and batched queries with the same
-#      verdicts
+#      known precedence queries over the wire (single queries are batches
+#      of one on the QUERY3/ANSWER3 frames every call uses); a 2-trace
+#      `--traces-dir` catalog must answer named-trace and batched queries
+#      with the same verdicts
 #  13. pipeline-smoke: against the live catalog server, a `--window 16`
-#      pipelined (protocol v3) batch must print byte-identical output to
-#      the same batch over lock-step v2 frames; the dedicated
-#      counting-allocator test must prove the steady-state serving path
-#      performs zero heap allocations
+#      pipelined batch (one pair per frame, 16 in flight) must print
+#      byte-identical output to the same lock-step `--batch`, and both
+#      must match the literal expected verdicts of the `ring` and `web`
+#      fixtures; the dedicated counting-allocator test must prove the
+#      steady-state serving path performs zero heap allocations
 #  14. clock-smoke: `run --ring 8` and `stamp` of a generated trace must
 #      produce byte-identical output under every `--clock` backend
 #      (dense / tree / fixed / auto), and an unknown backend name must be
@@ -245,18 +248,43 @@ if qc --m1 1 --m2 2 > /dev/null 2>&1; then
   echo "verify: unnamed query against a 2-trace catalog should fail" >&2; exit 1
 fi
 
-echo "==> pipeline-smoke: --window 16 (v3) answers byte-identical to v2 batches"
+echo "==> pipeline-smoke: --window 16 answers byte-identical to lock-step --batch"
 # A batch big enough to span several pipelined frames, against the live
-# catalog server: every pair of the ring trace, both directions.
+# catalog server: every pair of each trace, both directions, checked
+# against the fixture's known verdicts as well as across schedules.
 PAIRS="1:2,2:1,1:3,3:1,2:3,3:2,1:1,2:2,3:3"
-qc --trace ring --batch "$PAIRS" > "$NET_DIR/batch-v2.out"
-qc --trace ring --batch "$PAIRS" --window 16 > "$NET_DIR/batch-v3.out"
-diff "$NET_DIR/batch-v2.out" "$NET_DIR/batch-v3.out" || {
-  echo "verify: pipelined (v3, W=16) verdicts diverged from v2 batches" >&2; exit 1; }
-qc --trace web --batch "$PAIRS" > "$NET_DIR/web-v2.out"
-qc --trace web --batch "$PAIRS" --window 16 > "$NET_DIR/web-v3.out"
-diff "$NET_DIR/web-v2.out" "$NET_DIR/web-v3.out" || {
-  echo "verify: pipelined (v3, W=16) verdicts diverged from v2 on trace web" >&2; exit 1; }
+# ring is fully sequential: m1 < m2 < m3.
+cat > "$NET_DIR/ring-expected.out" <<'EOF'
+m1 -> m2: yes
+m2 -> m1: no
+m1 -> m3: yes
+m3 -> m1: no
+m2 -> m3: yes
+m3 -> m2: no
+m1 -> m1: no
+m2 -> m2: no
+m3 -> m3: no
+EOF
+# web: m1 and m2 are concurrent, both precede m3.
+cat > "$NET_DIR/web-expected.out" <<'EOF'
+m1 -> m2: no
+m2 -> m1: no
+m1 -> m3: yes
+m3 -> m1: no
+m2 -> m3: yes
+m3 -> m2: no
+m1 -> m1: no
+m2 -> m2: no
+m3 -> m3: no
+EOF
+for trace in ring web; do
+  qc --trace "$trace" --batch "$PAIRS" > "$NET_DIR/$trace-lockstep.out"
+  qc --trace "$trace" --batch "$PAIRS" --window 16 > "$NET_DIR/$trace-window16.out"
+  diff "$NET_DIR/$trace-lockstep.out" "$NET_DIR/$trace-window16.out" || {
+    echo "verify: trace $trace: W=16 verdicts diverged from the lock-step batch" >&2; exit 1; }
+  diff "$NET_DIR/$trace-expected.out" "$NET_DIR/$trace-lockstep.out" || {
+    echo "verify: trace $trace: batched verdicts diverged from the fixture's truth" >&2; exit 1; }
+done
 kill "$CATALOG_PID" 2>/dev/null || true
 wait "$CATALOG_PID" 2>/dev/null || true
 
