@@ -1875,6 +1875,7 @@ fn cmd_churn(opts: &BTreeMap<String, String>) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synctime_testutil::TempDir;
 
     fn run_strs(args: &[&str]) -> Result<String, String> {
         run(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -1948,8 +1949,7 @@ mod tests {
 
     #[test]
     fn stamp_and_query_commands() {
-        let dir = std::env::temp_dir().join("synctime-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli-test");
         let trace = dir.join("trace.json");
         std::fs::write(
             &trace,
@@ -2044,8 +2044,7 @@ mod tests {
 
     #[test]
     fn diagram_command() {
-        let dir = std::env::temp_dir().join("synctime-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli-test");
         let trace = dir.join("diagram.json");
         std::fs::write(
             &trace,
@@ -2095,8 +2094,7 @@ mod tests {
 
     #[test]
     fn simulate_runs_programs() {
-        let dir = std::env::temp_dir().join("synctime-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli-test");
         let progs = dir.join("programs.json");
         std::fs::write(
             &progs,
@@ -2123,8 +2121,7 @@ mod tests {
 
     #[test]
     fn generate_pipes_into_stamp() {
-        let dir = std::env::temp_dir().join("synctime-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli-test");
         let out = run_strs(&[
             "generate",
             "--topology",
@@ -2150,8 +2147,7 @@ mod tests {
 
     #[test]
     fn stamp_clock_backends_print_identical_vectors() {
-        let dir = std::env::temp_dir().join("synctime-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli-test");
         let out = run_strs(&[
             "generate",
             "--topology",
@@ -2280,8 +2276,7 @@ mod tests {
 
     #[test]
     fn run_with_crash_plan_reports_typed_outcomes() {
-        let dir = std::env::temp_dir().join("synctime-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli-test");
         let plan = dir.join("crash-plan.json");
         std::fs::write(
             &plan,
@@ -2321,8 +2316,7 @@ mod tests {
 
     #[test]
     fn run_with_desync_plan_recovers_with_resync_frames() {
-        let dir = std::env::temp_dir().join("synctime-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli-test");
         let plan = dir.join("desync-plan.json");
         std::fs::write(
             &plan,
@@ -2430,8 +2424,7 @@ mod tests {
 
     #[test]
     fn run_executes_program_files_on_threads() {
-        let dir = std::env::temp_dir().join("synctime-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli-test");
         let progs = dir.join("run-programs.json");
         std::fs::write(
             &progs,
@@ -2454,8 +2447,7 @@ mod tests {
 
     #[test]
     fn run_diagnoses_deadlock_instead_of_hanging() {
-        let dir = std::env::temp_dir().join("synctime-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli-test");
         let bad = dir.join("run-deadlock.json");
         std::fs::write(
             &bad,
@@ -2500,8 +2492,7 @@ mod tests {
 
     #[test]
     fn query_chain_local() {
-        let dir = std::env::temp_dir().join("synctime-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli-test");
         let trace = dir.join("chain.json");
         std::fs::write(
             &trace,
@@ -2563,8 +2554,7 @@ mod tests {
     /// fabric, queried by name and in batches through the CLI client.
     #[test]
     fn query_connect_catalog_end_to_end() {
-        let dir = std::env::temp_dir().join("synctime-cli-catalog-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli-catalog-test");
         // Trace `web`: the clients:2x2 fixture from the tests above.
         std::fs::write(
             dir.join("web.json"),
@@ -2702,8 +2692,7 @@ mod tests {
 
     #[test]
     fn serve_query_catalog_flag_validation() {
-        let dir = std::env::temp_dir().join("synctime-cli-catalog-empty");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli-catalog-empty");
         let err = run_strs(&[
             "serve-query",
             "--traces-dir",
@@ -2802,8 +2791,7 @@ mod tests {
     /// suffix past the last boundary.
     #[test]
     fn launch_churn_local_emits_final_epoch_trace() {
-        let dir = std::env::temp_dir().join("synctime-cli-churn-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli-churn-test");
         let plan = dir.join("plan.json");
         std::fs::write(&plan, CHURN_PLAN_FIXTURE).unwrap();
         let out = run_strs(&[
@@ -2836,9 +2824,7 @@ mod tests {
     /// serves the latest epoch.
     #[test]
     fn launch_churn_local_persists_reconfig_records() {
-        let dir = std::env::temp_dir().join("synctime-cli-churn-persist");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("cli-churn-persist");
         let plan = dir.join("plan.json");
         std::fs::write(&plan, CHURN_PLAN_FIXTURE).unwrap();
         let root = dir.join("store");

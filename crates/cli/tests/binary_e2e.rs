@@ -2,6 +2,8 @@
 
 use std::process::Command;
 
+use synctime_testutil::TempDir;
+
 fn synctime(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_synctime"))
         .args(args)
@@ -34,8 +36,7 @@ fn decompose_pipeline() {
 
 #[test]
 fn generate_stamp_query_roundtrip() {
-    let dir = std::env::temp_dir().join("synctime-bin-e2e");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("bin-e2e");
     let trace = dir.join("t.json");
 
     let (json, _, ok) = synctime(&[
@@ -98,8 +99,7 @@ fn launch_tcp_matches_run_local() {
 fn serve_query_binary_roundtrip() {
     use std::io::{BufRead as _, BufReader};
 
-    let dir = std::env::temp_dir().join("synctime-bin-e2e");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("bin-e2e");
     let trace = dir.join("q.json");
     std::fs::write(
         &trace,
@@ -149,8 +149,7 @@ fn serve_query_binary_roundtrip() {
 /// is byte-identical to the same plan run in-process by the sim engine.
 #[test]
 fn launch_churn_tcp_matches_local() {
-    let dir = std::env::temp_dir().join("synctime-bin-e2e-churn");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("bin-e2e-churn");
     let plan_path = dir.join("plan.json");
     let (plan, stderr, ok) = synctime(&[
         "churn",
@@ -182,9 +181,7 @@ fn launch_churn_tcp_matches_local() {
 fn churn_store_serves_latest_epoch() {
     use std::io::{BufRead as _, BufReader};
 
-    let dir = std::env::temp_dir().join("synctime-bin-e2e-churn-store");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("bin-e2e-churn-store");
     let plan_path = dir.join("plan.json");
     std::fs::write(
         &plan_path,
@@ -244,8 +241,7 @@ fn churn_store_serves_latest_epoch() {
 
 #[test]
 fn simulate_binary() {
-    let dir = std::env::temp_dir().join("synctime-bin-e2e");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("bin-e2e");
     let progs = dir.join("p.json");
     std::fs::write(
         &progs,

@@ -42,19 +42,33 @@
 //! uninterrupted in-memory run would have produced from the same prefix.
 //! A quiesced, fully flushed store recovers the *whole* run.
 //!
-//! There is one implementation of these rules: [`TraceTailReader`] keeps
-//! them assembled record by record, and [`read_trace_dir`] is a fresh
-//! reader's first poll. A warm poll reads only the log bytes appended
-//! since the last one and runs the matched-keys rule as a worklist over
-//! the unmatched frontier, so its cost follows what changed, not the
-//! length of the trace.
+//! There is one implementation of these rules, an assembly that takes
+//! records one at a time. [`TraceTailReader`] keeps one assembled record
+//! by record; a warm poll reads only the log bytes appended since the
+//! last one and runs the matched-keys rule as a worklist over the
+//! unmatched frontier, so its cost follows what changed, not the length
+//! of the trace. [`read_trace_dir`] runs the same cold ingestion a fresh
+//! reader's first poll runs, then finishes the assembly **by value**: the
+//! dense logs are truncated to their matched lengths and moved out,
+//! where a reader, which keeps its state, must clone the kept entries.
+//!
+//! The matched-keys index keeps a message key's counts and its first send
+//! and first receive **inline**, 24 bytes per key (a reused key's later
+//! entries spill into a side map, otherwise never allocated). It tracks
+//! unmatched entries with **a flag per entry and a cursor** per process:
+//! only the push of an entry sets a flag, its own at the newest index,
+//! and every later change clears one, so no flag below the cursor is ever
+//! set again and the cursor advances lazily in amortised O(1) per entry.
 //!
 //! [`reconstruct_from_logs`]: synctime_runtime::reconstruct_from_logs
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File};
+use std::hash::{BuildHasher, Hasher};
 use std::io::{BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use synctime_core::wire;
 use synctime_runtime::LogEntry;
@@ -378,9 +392,10 @@ pub struct RecoveredTrace {
     pub reconfigs: Vec<ReconfigRecord>,
 }
 
-/// Recovers one trace directory into per-process logs: a fresh
-/// [`TraceTailReader`]'s first poll, so one-shot recovery and tailing
-/// share one assembly path. See the module docs for the recovery
+/// Recovers one trace directory into per-process logs: the cold read a
+/// fresh [`TraceTailReader`]'s first poll runs, so one-shot recovery and
+/// tailing share one assembly path, finished by value (the kept entries
+/// are moved out, not cloned). See the module docs for the recovery
 /// invariants; this is the crash-recovery entry point.
 ///
 /// # Errors
@@ -391,7 +406,8 @@ pub struct RecoveredTrace {
 /// Torn tails and partial records are *not* errors — they shorten the
 /// recovered prefix instead.
 pub fn read_trace_dir(dir: &Path) -> Result<RecoveredTrace, StoreError> {
-    TraceTailReader::new(dir).poll()
+    let cold = ColdRead::new(dir)?;
+    Ok(cold.state.into_recovered(cold.snap_torn + cold.log_torn))
 }
 
 /// Checks the META records of the files present (snapshot first) and
@@ -418,33 +434,144 @@ fn check_metas(dir: &Path, metas: &[Meta]) -> Result<(usize, u64), StoreError> {
     Ok((first.process_count as usize, generation))
 }
 
-/// Where one keyed entry sits in the dense logs.
-#[derive(Debug, Clone, Copy)]
+/// Where one keyed entry sits in the dense logs: 8 bytes, since
+/// [`MatchedLogs::push`] refuses entries whose coordinates do not fit in
+/// `u32`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
-    process: usize,
-    index: usize,
-    receive: bool,
+    process: u32,
+    index: u32,
 }
 
-/// One message key's entries across the dense logs.
-#[derive(Debug, Default)]
+impl Slot {
+    /// No entry; `push` never indexes process `u32::MAX`.
+    const NONE: Slot = Slot {
+        process: u32::MAX,
+        index: 0,
+    };
+}
+
+/// One message key's entries across the dense logs, in 24 bytes (the key
+/// map is touched once or twice per entry, so its footprint is most of
+/// what indexing costs). Arrays indexed by kind hold the send side at 0
+/// and the receive side at 1.
+#[derive(Debug)]
 struct KeyEntries {
-    /// Sent entries carrying the key.
-    sent: usize,
-    /// Received entries carrying the key.
-    received: usize,
-    /// Every entry carrying the key (normally one send and one receive).
-    slots: Vec<Slot>,
+    /// Entries carrying the key, per kind. [`MatchedLogs::push`] refuses
+    /// an entry that would overflow its count.
+    counts: [u32; 2],
+    /// The key's first entry of each kind, inline; [`Slot::NONE`] until
+    /// one is logged. Later ones spill to [`MatchedLogs`]' `spilled`.
+    first: [Slot; 2],
 }
 
-impl KeyEntries {
-    /// The count of entries of one kind.
-    fn count(&mut self, receive: bool) -> &mut usize {
-        if receive {
-            &mut self.received
-        } else {
-            &mut self.sent
+impl Default for KeyEntries {
+    fn default() -> Self {
+        KeyEntries {
+            counts: [0; 2],
+            first: [Slot::NONE; 2],
         }
+    }
+}
+
+/// The entries of one kind carrying `key`: its inline first slot, then
+/// whatever spilled.
+fn slots<'a>(
+    k: &KeyEntries,
+    spilled: &'a HashMap<u64, Vec<(Slot, bool)>, KeyHash>,
+    key: u64,
+    receive: bool,
+) -> impl Iterator<Item = Slot> + 'a {
+    let first = k.first[usize::from(receive)];
+    let more = if spilled.is_empty() {
+        None
+    } else {
+        spilled.get(&key)
+    };
+    (first != Slot::NONE).then_some(first).into_iter().chain(
+        more.into_iter()
+            .flatten()
+            .filter(move |&&(_, r)| r == receive)
+            .map(|&(slot, _)| slot),
+    )
+}
+
+/// Builds the matched-keys index's hasher: one folded multiply of the
+/// `u64` key under two seeds drawn once per process from [`RandomState`],
+/// far cheaper than SipHash and still not predictable from outside the
+/// process.
+#[derive(Debug, Clone, Copy)]
+struct KeyHash {
+    seed: u64,
+    mul: u64,
+}
+
+impl KeyHash {
+    fn new() -> Self {
+        static SEEDS: OnceLock<(u64, u64)> = OnceLock::new();
+        let &(seed, mul) = SEEDS.get_or_init(|| {
+            let state = RandomState::new();
+            (state.hash_one(0u64), state.hash_one(1u64) | 1)
+        });
+        KeyHash { seed, mul }
+    }
+}
+
+impl BuildHasher for KeyHash {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher {
+            hash: self.seed,
+            mul: self.mul,
+        }
+    }
+}
+
+/// The hasher [`KeyHash`] builds.
+#[derive(Debug)]
+struct KeyHasher {
+    hash: u64,
+    mul: u64,
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let full = u128::from(self.hash ^ x) * u128::from(self.mul);
+        self.hash = (full as u64) ^ ((full >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// One process's entries that no opposite-kind entry matches: a flag per
+/// entry, and a cursor no later than the first set flag.
+///
+/// Only [`MatchedLogs::push`] sets a flag, and only on the entry it
+/// appends; every other change clears one. So no flag below the cursor is
+/// ever set again, and advancing the cursor past cleared flags is
+/// amortised O(1) per entry.
+#[derive(Debug, Default)]
+struct Unmatched {
+    flags: Vec<bool>,
+    cursor: usize,
+}
+
+impl Unmatched {
+    /// The first unmatched entry, if any.
+    fn first(&mut self) -> Option<usize> {
+        while self.flags.get(self.cursor) == Some(&false) {
+            self.cursor += 1;
+        }
+        (self.cursor < self.flags.len()).then_some(self.cursor)
     }
 }
 
@@ -454,32 +581,53 @@ impl KeyEntries {
 /// vice versa).
 ///
 /// Entries arrive one at a time ([`MatchedLogs::push`]); each updates its
-/// key's counts and the set of entries that no opposite-kind entry
-/// matches anywhere. [`MatchedLogs::matched_lens`] then finds the family
-/// with a worklist: cut each process at its first unmatched entry, and
-/// whenever a cut drops a key's last send (or receive), cut the processes
-/// holding that key's receives (or sends) too. A cut only ever removes
-/// entries outside the greatest family, and the cascade stops once no
-/// kept entry lacks a partner, so the result is exactly that family —
-/// what rounds of "count, then truncate at the first partnerless entry"
-/// converge to. The work is the unmatched frontier plus the entries the
-/// cuts remove, not the whole trace.
+/// key's counts and slots and the per-process unmatched flags (entries
+/// that no opposite-kind entry matches anywhere). A key keeps its first
+/// send and first receive inline; only a reused key's later entries go
+/// to a side map, which the usual one-send-one-receive trace never
+/// allocates.
+///
+/// [`MatchedLogs::matched_lens`] then finds the family with a worklist:
+/// cut each process at its first unmatched entry, and whenever a cut
+/// drops a key's last send (or receive), cut the processes holding that
+/// key's receives (or sends) too. A cut only ever removes entries outside
+/// the greatest family, and the cascade stops once no kept entry lacks a
+/// partner, so the result is exactly that family — what rounds of "count,
+/// then truncate at the first partnerless entry" converge to. The work is
+/// the unmatched frontier plus the entries the cuts remove, not the whole
+/// trace.
 #[derive(Debug)]
 pub(crate) struct MatchedLogs {
     logs: Vec<Vec<LogEntry>>,
-    keys: HashMap<u64, KeyEntries>,
-    /// Per process, the indices of entries whose key has no entry of the
-    /// opposite kind in `logs`.
-    unmatched: Vec<BTreeSet<usize>>,
+    keys: HashMap<u64, KeyEntries, KeyHash>,
+    /// Per key, every entry after the first of its kind, with `true` for
+    /// a receive.
+    spilled: HashMap<u64, Vec<(Slot, bool)>, KeyHash>,
+    unmatched: Vec<Unmatched>,
 }
 
 impl MatchedLogs {
     /// Empty logs for `process_count` processes.
     pub(crate) fn new(process_count: usize) -> Self {
+        Self::with_capacity(process_count, 0)
+    }
+
+    /// Empty logs for `process_count` processes, with room for about
+    /// `entries` entries spread evenly over them (a hint: more still fit).
+    pub(crate) fn with_capacity(process_count: usize, entries: usize) -> Self {
+        let per_process = entries / process_count.max(1);
         MatchedLogs {
-            logs: vec![Vec::new(); process_count],
-            keys: HashMap::new(),
-            unmatched: vec![BTreeSet::new(); process_count],
+            logs: (0..process_count)
+                .map(|_| Vec::with_capacity(per_process))
+                .collect(),
+            keys: HashMap::with_capacity_and_hasher(entries / 2, KeyHash::new()),
+            spilled: HashMap::with_hasher(KeyHash::new()),
+            unmatched: (0..process_count)
+                .map(|_| Unmatched {
+                    flags: Vec::with_capacity(per_process),
+                    cursor: 0,
+                })
+                .collect(),
         }
     }
 
@@ -488,29 +636,48 @@ impl MatchedLogs {
         &self.logs
     }
 
-    /// Appends `entry` to `process`'s log.
-    pub(crate) fn push(&mut self, process: usize, entry: LogEntry) {
+    /// Appends `entry` to `process`'s log. Returns `false`, appending
+    /// nothing, when the process number or the entry's index in its log
+    /// does not fit a [`Slot`], or its key already has `u32::MAX` entries
+    /// of its kind (over four billion of any).
+    #[must_use]
+    pub(crate) fn push(&mut self, process: usize, entry: LogEntry) -> bool {
         let index = self.logs[process].len();
-        if let Some((key, receive)) = key_of(&entry) {
-            let k = self.keys.entry(key).or_default();
-            if *k.count(receive) == 0 {
-                // The key's first entry of this kind matches every
-                // opposite-kind entry already logged.
-                for s in k.slots.iter().filter(|s| s.receive != receive) {
-                    self.unmatched[s.process].remove(&s.index);
-                }
-            }
-            *k.count(receive) += 1;
-            if *k.count(!receive) == 0 {
-                self.unmatched[process].insert(index);
-            }
-            k.slots.push(Slot {
-                process,
-                index,
-                receive,
-            });
+        let (Ok(p), Ok(i)) = (u32::try_from(process), u32::try_from(index)) else {
+            return false;
+        };
+        let slot = Slot {
+            process: p,
+            index: i,
+        };
+        if slot.process == Slot::NONE.process {
+            return false;
         }
+        let unmatched = match key_of(&entry) {
+            None => false,
+            Some((key, receive)) => {
+                let k = self.keys.entry(key).or_default();
+                let kind = usize::from(receive);
+                let Some(count) = k.counts[kind].checked_add(1) else {
+                    return false;
+                };
+                if count == 1 {
+                    // The key's first entry of this kind matches every
+                    // opposite-kind entry already logged.
+                    for s in slots(k, &self.spilled, key, !receive) {
+                        self.unmatched[s.process as usize].flags[s.index as usize] = false;
+                    }
+                    k.first[kind] = slot;
+                } else {
+                    self.spilled.entry(key).or_default().push((slot, receive));
+                }
+                k.counts[kind] = count;
+                k.counts[1 - kind] == 0
+            }
+        };
+        self.unmatched[process].flags.push(unmatched);
         self.logs[process].push(entry);
+        true
     }
 
     /// Per process, the length of its prefix in the greatest matched
@@ -519,9 +686,9 @@ impl MatchedLogs {
         let mut lens: Vec<usize> = self.logs.iter().map(Vec::len).collect();
         let mut work: Vec<(usize, usize)> = self
             .unmatched
-            .iter()
+            .iter_mut()
             .enumerate()
-            .filter_map(|(p, set)| set.first().map(|&i| (p, i)))
+            .filter_map(|(p, unmatched)| unmatched.first().map(|i| (p, i)))
             .collect();
         // The cascade borrows the keys' counts as the kept family's counts
         // and gives them back below.
@@ -535,14 +702,13 @@ impl MatchedLogs {
                 let Some(k) = self.keys.get_mut(&key) else {
                     continue;
                 };
-                let left = k.count(receive);
+                let left = &mut k.counts[usize::from(receive)];
                 *left -= 1;
                 if *left == 0 {
                     work.extend(
-                        k.slots
-                            .iter()
-                            .filter(|s| s.receive != receive && s.index < lens[s.process])
-                            .map(|s| (s.process, s.index)),
+                        slots(k, &self.spilled, key, !receive)
+                            .map(|s| (s.process as usize, s.index as usize))
+                            .filter(|&(q, i)| i < lens[q]),
                     );
                 }
             }
@@ -550,14 +716,15 @@ impl MatchedLogs {
         for (log, &len) in self.logs.iter().zip(&lens) {
             for (key, receive) in log[len..].iter().filter_map(key_of) {
                 if let Some(k) = self.keys.get_mut(&key) {
-                    *k.count(receive) += 1;
+                    k.counts[usize::from(receive)] += 1;
                 }
             }
         }
         lens
     }
 
-    /// The greatest matched prefix family itself, consuming the index.
+    /// The greatest matched prefix family itself, consuming the index:
+    /// the logs are truncated in place and moved out.
     pub(crate) fn into_matched(mut self) -> Vec<Vec<LogEntry>> {
         let lens = self.matched_lens();
         let mut logs = self.logs;
@@ -596,13 +763,15 @@ struct Assembly {
 }
 
 impl Assembly {
-    fn new(process_count: usize, generation: u64) -> Self {
+    /// An empty assembly with room for the entries of `bytes` store bytes
+    /// (a hint: more still fit).
+    fn new(process_count: usize, generation: u64, bytes: usize) -> Self {
         Assembly {
             process_count,
             generation,
             parsed: 0,
             pending: vec![BTreeMap::new(); process_count],
-            dense: MatchedLogs::new(process_count),
+            dense: MatchedLogs::with_capacity(process_count, bytes / RECORD_BYTES_HINT),
             reconfigs: BTreeMap::new(),
         }
     }
@@ -613,7 +782,8 @@ impl Assembly {
     /// wins), parked if it lies beyond a gap, and appended otherwise,
     /// together with every parked entry the append makes contiguous.
     /// Returns `false`, refusing the record and ending the scanned
-    /// prefix, when the stamp bytes do not decode.
+    /// prefix, when the stamp bytes do not decode or the entry does not
+    /// fit the index (see [`MatchedLogs::push`]).
     fn take(&mut self, payload: Payload<'_>) -> bool {
         let (process, pseq, entry) = match payload {
             Payload::Sent {
@@ -661,10 +831,14 @@ impl Assembly {
             self.pending[process].entry(pseq).or_insert(entry);
             return true;
         }
-        self.dense.push(process, entry);
+        if !self.dense.push(process, entry) {
+            return false;
+        }
         let pending = &mut self.pending[process];
         while let Some(entry) = pending.remove(&(self.dense.logs()[process].len() as u64)) {
-            self.dense.push(process, entry);
+            if !self.dense.push(process, entry) {
+                break;
+            }
         }
         true
     }
@@ -677,16 +851,31 @@ impl Assembly {
         pos
     }
 
-    /// The recovered trace as of the records ingested so far.
+    /// The recovered trace as of the records ingested so far, with the
+    /// kept entries cloned: a tail reader keeps its state for the next
+    /// poll.
     fn recovered(&mut self, torn_bytes: usize) -> RecoveredTrace {
         let lens = self.dense.matched_lens();
-        let logs: Vec<Vec<LogEntry>> = self
+        let logs = self
             .dense
             .logs()
             .iter()
             .zip(&lens)
             .map(|(log, &len)| log[..len].to_vec())
             .collect();
+        self.finish(logs, torn_bytes)
+    }
+
+    /// The recovered trace, consuming the assembly: the dense logs are
+    /// truncated to their matched lengths and moved out, not cloned.
+    fn into_recovered(mut self, torn_bytes: usize) -> RecoveredTrace {
+        let logs = std::mem::replace(&mut self.dense, MatchedLogs::new(0)).into_matched();
+        self.finish(logs, torn_bytes)
+    }
+
+    /// Wraps the kept logs with their counts and the epoch boundaries
+    /// they cover.
+    fn finish(&self, logs: Vec<Vec<LogEntry>>, torn_bytes: usize) -> RecoveredTrace {
         let reconfigs = self
             .reconfigs
             .values()
@@ -694,12 +883,12 @@ impl Assembly {
                 r.cuts.len() == self.process_count
                     && r.cuts
                         .iter()
-                        .zip(&lens)
-                        .all(|(&cut, &len)| cut as usize <= len)
+                        .zip(&logs)
+                        .all(|(&cut, log)| cut as usize <= log.len())
             })
             .cloned()
             .collect();
-        let records = lens.iter().sum();
+        let records = logs.iter().map(Vec::len).sum();
         RecoveredTrace {
             process_count: self.process_count,
             generation: self.generation,
@@ -712,14 +901,87 @@ impl Assembly {
     }
 }
 
+/// Store bytes per entry record assumed when pre-sizing a cold read's
+/// assembly. A record with a two-component stamp takes about 22 bytes,
+/// so the usual store is sized in one go and never regrows; only the
+/// pages an entry touches cost memory. A store of smaller records just
+/// grows past the hint.
+const RECORD_BYTES_HINT: usize = 16;
+
+/// Both store files read in full through one [`Assembly`], snapshot
+/// first: the one cold path behind [`read_trace_dir`] and a
+/// [`TraceTailReader`]'s cold read.
+struct ColdRead {
+    state: Assembly,
+    /// Torn bytes of the snapshot file.
+    snap_torn: usize,
+    /// Torn bytes of the log file.
+    log_torn: usize,
+    /// The log's generation and accepted prefix end, when its META is
+    /// readable.
+    log_tail: Option<(u64, usize)>,
+}
+
+/// One store file as a cold read sees it: its bytes and, when readable,
+/// its META with the offset of the first record; `None` when absent.
+type FileRead = Option<(Vec<u8>, Option<(Meta, usize)>)>;
+
+impl ColdRead {
+    fn new(dir: &Path) -> Result<Self, StoreError> {
+        let read = |name: &str| -> Result<FileRead, StoreError> {
+            match fs::read(dir.join(name)) {
+                Ok(bytes) => {
+                    let meta = scan_meta(&bytes);
+                    Ok(Some((bytes, meta)))
+                }
+                Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
+                Err(e) => Err(e.into()),
+            }
+        };
+        let snap = read(SNAPSHOT_FILE)?;
+        let log = read(LOG_FILE)?;
+        let metas: Vec<Meta> = [&snap, &log]
+            .into_iter()
+            .flatten()
+            .filter_map(|(_, meta)| meta.map(|(meta, _)| meta))
+            .collect();
+        let (process_count, generation) = check_metas(dir, &metas)?;
+        let bytes = [&snap, &log]
+            .into_iter()
+            .flatten()
+            .map(|(b, _)| b.len())
+            .sum();
+        let mut state = Assembly::new(process_count, generation, bytes);
+        // A file without a readable META is torn from its first byte.
+        // Returns (valid prefix end, length).
+        let mut take_file = |file: &FileRead| match file {
+            Some((bytes, Some((_, start)))) => (state.take_all(bytes, *start), bytes.len()),
+            Some((bytes, None)) => (0, bytes.len()),
+            None => (0, 0),
+        };
+        let (snap_end, snap_len) = take_file(&snap);
+        let (log_end, log_len) = take_file(&log);
+        let log_tail = match &log {
+            Some((_, Some((meta, _)))) => Some((meta.generation, log_end)),
+            _ => None,
+        };
+        Ok(ColdRead {
+            state,
+            snap_torn: snap_len - snap_end,
+            log_torn: log_len - log_end,
+            log_tail,
+        })
+    }
+}
+
 /// Upper bound on a META record's framed size: 8-byte frame, 1-byte tag,
 /// three varints of at most 10 bytes each. Reading this much from a
 /// file's head always captures the whole META.
 const META_HEAD_BYTES: usize = 8 + 1 + 3 * 10;
 
 /// An incremental reader for a growing trace directory, and the one
-/// assembly path recovery has ([`read_trace_dir`] is a fresh reader's
-/// first poll).
+/// assembly path recovery has ([`read_trace_dir`] runs a fresh reader's
+/// cold read and finishes it by value).
 ///
 /// The reader keeps the recovery invariants assembled: per process the
 /// gap-free log plus records parked beyond a gap, per key the entry
@@ -824,41 +1086,18 @@ impl TraceTailReader {
         self.state = None;
         self.generation = None;
         self.log_offset = 0;
-        let read = |name: &str| -> Result<Option<(Vec<u8>, Option<(Meta, usize)>)>, StoreError> {
-            match fs::read(self.dir.join(name)) {
-                Ok(bytes) => {
-                    let meta = scan_meta(&bytes);
-                    Ok(Some((bytes, meta)))
-                }
-                Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
-                Err(e) => Err(e.into()),
-            }
-        };
-        let snap = read(SNAPSHOT_FILE)?;
-        let log = read(LOG_FILE)?;
-        let metas: Vec<Meta> = [&snap, &log]
-            .into_iter()
-            .flatten()
-            .filter_map(|(_, meta)| meta.map(|(meta, _)| meta))
-            .collect();
-        let (process_count, generation) = check_metas(&self.dir, &metas)?;
-        let mut state = Assembly::new(process_count, generation);
-        // Snapshot first, then log; a file without a readable META is
-        // torn from its first byte. Returns (valid prefix end, length).
-        let mut take_file = |file: &Option<(Vec<u8>, Option<(Meta, usize)>)>| match file {
-            Some((bytes, Some((_, start)))) => (state.take_all(bytes, *start), bytes.len()),
-            Some((bytes, None)) => (0, bytes.len()),
-            None => (0, 0),
-        };
-        let (snap_end, snap_len) = take_file(&snap);
-        let (log_end, log_len) = take_file(&log);
-        self.snap_torn = snap_len - snap_end;
-        if let Some((_, Some((meta, _)))) = &log {
-            self.generation = Some(meta.generation);
-            self.log_offset = log_end;
+        let ColdRead {
+            mut state,
+            snap_torn,
+            log_torn,
+            log_tail,
+        } = ColdRead::new(&self.dir)?;
+        self.snap_torn = snap_torn;
+        if let Some((generation, end)) = log_tail {
+            self.generation = Some(generation);
+            self.log_offset = end;
         }
-        let log_torn = log_len - log_end;
-        let recovered = state.recovered(self.snap_torn + log_torn);
+        let recovered = state.recovered(snap_torn + log_torn);
         self.state = Some(state);
         Ok(recovered)
     }

@@ -138,7 +138,11 @@ pub fn materialize_latest_epoch(
     let mut segment = MatchedLogs::new(trace.logs.len());
     for (process, (log, &cut)) in trace.logs.iter().zip(&last.cuts).enumerate() {
         for entry in log.get(cut as usize..).unwrap_or(&[]) {
-            segment.push(process, entry.clone());
+            if !segment.push(process, entry.clone()) {
+                return Err(StoreError::Replay(format!(
+                    "process {process}'s epoch segment exceeds the index bound"
+                )));
+            }
         }
     }
     let (comp, stamps) = materialize(&segment.into_matched())?;
@@ -250,21 +254,7 @@ mod tests {
     use super::*;
     use crate::read_trace_dir;
     use std::sync::mpsc;
-
-    /// A fresh directory per call: pid plus a process-wide counter, so
-    /// tests running in parallel never share a store root.
-    fn temp_root(tag: &str) -> std::path::PathBuf {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "synctime-store-test-{}-{}-{tag}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create temp root");
-        dir
-    }
+    use synctime_testutil::TempDir;
 
     fn ping_pong_logs(rounds: u64) -> Vec<Vec<LogEntry>> {
         use synctime_graph::{decompose, topology};
@@ -293,7 +283,7 @@ mod tests {
 
     #[test]
     fn persist_then_recover_round_trips_the_run() {
-        let root = temp_root("roundtrip");
+        let root = TempDir::new("store-test-roundtrip");
         let logs = ping_pong_logs(5);
         let store = persist_logs(&root, "pp", &logs).expect("persist");
         assert_eq!(store.generation(), 1);
@@ -309,12 +299,11 @@ mod tests {
             use synctime_trace::MessageId;
             assert_eq!(direct.vector(MessageId(i)), via_store.vector(MessageId(i)));
         }
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn streaming_writer_matches_batch_persistence() {
-        let root = temp_root("stream");
+        let root = TempDir::new("store-test-stream");
         let logs = ping_pong_logs(4);
         let (tx, writer) = spawn_writer(&root, "live", logs.len()).expect("spawn");
         // Deliver in deliberately ragged bursts (1, 2, 3, ... events) to
@@ -341,12 +330,11 @@ mod tests {
         let store = writer.finish().expect("finish");
         let rec = read_trace_dir(store.dir()).expect("recover");
         assert_eq!(rec.logs, logs);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn mid_run_truncation_recovers_a_consistent_prefix() {
-        let root = temp_root("torn");
+        let root = TempDir::new("store-test-torn");
         let logs = ping_pong_logs(6);
         let store = persist_logs(&root, "torn", &logs).expect("persist");
         let snap = store.dir().join(crate::SNAPSHOT_FILE);
@@ -365,13 +353,12 @@ mod tests {
                 Err(other) => panic!("unexpected error at cut {cut}: {other}"),
             }
         }
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn tail_reader_answers_identically_to_full_rereads() {
         use crate::{TraceStore, TraceTailReader};
-        let root = temp_root("tailer");
+        let root = TempDir::new("store-test-tailer");
         let logs = ping_pong_logs(8);
         // Write incrementally with a tiny compaction budget so the poll
         // sequence crosses several generation bumps, and check after every
@@ -405,13 +392,12 @@ mod tests {
         assert_eq!(incremental.logs, full.logs);
         assert_eq!(incremental.logs, logs);
         assert!(store.generation() > 0, "compactions should have fired");
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn tail_reader_recovers_a_torn_tail_once_it_completes() {
         use crate::TraceTailReader;
-        let root = temp_root("tailer-torn");
+        let root = TempDir::new("store-test-tailer-torn");
         let logs = ping_pong_logs(3);
         let store = persist_logs(&root, "torn", &logs).expect("persist");
         // Rewrite the log with a record torn in half; the reader must park
@@ -434,7 +420,6 @@ mod tests {
         assert_eq!(healed.torn_bytes, 0);
         let full = read_trace_dir(store.dir()).expect("full read");
         assert_eq!(healed.logs, full.logs);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -443,7 +428,7 @@ mod tests {
         // Two epochs of the same 2-process workload: keys repeat across
         // epochs (each epoch's run restarts its counters), which is
         // exactly what the boundary cuts disambiguate.
-        let root = temp_root("epochs");
+        let root = TempDir::new("store-test-epochs");
         let epoch0 = ping_pong_logs(2);
         let epoch1 = ping_pong_logs(5);
         let cuts: Vec<u64> = epoch0.iter().map(|log| log.len() as u64).collect();
@@ -476,7 +461,6 @@ mod tests {
         let (epoch, comp, _) = materialize_latest_epoch(&rec).expect("whole trace");
         assert_eq!(epoch, 0);
         assert_eq!(comp.message_count(), 4);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -486,7 +470,7 @@ mod tests {
         // One rendezvous whose send and receive records carry different
         // stamps: recovery keeps both (the keys match), and
         // materialisation must refuse them rather than panic or keep one.
-        let root = temp_root("stamp-mismatch");
+        let root = TempDir::new("store-test-stamp-mismatch");
         let mut store = TraceStore::create(&root, "bad", 2).expect("create");
         let key = 7u64;
         store
@@ -515,12 +499,11 @@ mod tests {
             Err(StoreError::Replay(detail)) => assert_eq!(detail, expected),
             other => panic!("expected a replay error, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn drained_channel_without_events_still_seals_the_store() {
-        let root = temp_root("empty");
+        let root = TempDir::new("store-test-empty");
         let (tx, writer) = spawn_writer(&root, "empty", 3).expect("spawn");
         let (_unused_tx, _) = mpsc::channel::<Vec<PersistEvent>>();
         drop(tx);
@@ -528,6 +511,5 @@ mod tests {
         let rec = read_trace_dir(store.dir()).expect("recover");
         assert_eq!(rec.process_count, 3);
         assert_eq!(rec.records, 0);
-        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -19,21 +19,7 @@ use synctime_store::{
     materialize, persist_logs, read_trace_dir, LogEntry, ReconfigRecord, RecoveredTrace,
     StampRecord, StoreError, TraceStore, TraceTailReader, LOG_FILE, SNAPSHOT_FILE,
 };
-
-/// A fresh directory per call: pid plus a process-wide counter, so cases
-/// of parallel property tests never share a store root.
-fn temp_root(tag: &str) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "synctime-store-props-{}-{}-{tag}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp root");
-    dir
-}
+use synctime_testutil::TempDir;
 
 /// Arbitrary stamp bytes as any clock backend would produce them: every
 /// backend serialises through `wire::encode_full`, so an arbitrary
@@ -170,7 +156,7 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let logs = synthetic_logs(rounds, dim);
-        let root = temp_root(&format!("torn-{rounds}-{dim}"));
+        let root = TempDir::new(&format!("store-props-torn-{rounds}-{dim}"));
         let store = persist_logs(&root, "t", &logs).expect("persist");
         let snap = store.dir().join(synctime_store::SNAPSHOT_FILE);
         let bytes = std::fs::read(&snap).expect("read snapshot");
@@ -191,7 +177,6 @@ proptest! {
             }
             Err(other) => return Err(TestCaseError::Fail(format!("unexpected error: {other}"))),
         }
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Full round trip at arbitrary widths: what goes in comes back out,
@@ -199,13 +184,12 @@ proptest! {
     #[test]
     fn persisted_runs_round_trip(rounds in 1u64..8, dim in 1usize..6) {
         let logs = synthetic_logs(rounds, dim);
-        let root = temp_root(&format!("rt-{rounds}-{dim}"));
+        let root = TempDir::new(&format!("store-props-rt-{rounds}-{dim}"));
         let store = persist_logs(&root, "t", &logs).expect("persist");
         let rec = read_trace_dir(store.dir()).expect("recover");
         prop_assert_eq!(&rec.logs, &logs);
         prop_assert_eq!(rec.dropped_records, 0);
         materialize(&rec.logs).expect("reconstructs");
-        let _ = std::fs::remove_dir_all(&root);
     }
 }
 
@@ -358,17 +342,38 @@ enum Op {
 
 /// A rendezvous-shaped record stream for `processes` processes, then
 /// broken: records swapped out of `pseq` order, coordinates repeated
-/// (sometimes with different contents), keys shared by two messages,
-/// records dropped (leaving partnerless entries and `pseq` gaps),
-/// partnerless records added, records naming a process beyond the run,
-/// RECONFIG records with repeated epochs and arbitrary cuts, and now and
-/// then an undecodable stamp.
+/// (sometimes with different contents), keys shared by two or more
+/// messages, records dropped (leaving partnerless entries and `pseq`
+/// gaps), partnerless records added, records naming a process beyond the
+/// run, RECONFIG records with repeated epochs and arbitrary cuts, and now
+/// and then an undecodable stamp. Keys mix small values with values above
+/// `u32::MAX` (runtime keys are `process << 32 | seq`), and some receives
+/// are logged many records after their send, so the send waits unmatched
+/// while both logs grow past it.
 fn adversarial_stream(rng: &mut Mix, processes: usize) -> Vec<Op> {
     let stamp = |c: u64| wire::encode_full(&synctime_core::VectorTime::from(vec![c, c / 2]));
     let mut next_pseq = vec![0u64; processes + 1];
     let mut ops = Vec::new();
     let mut key = 0u64;
-    for _ in 0..(8 + rng.below(40)) {
+    let mut used: Vec<u64> = Vec::new();
+    // Receives logged late: (step due, receiver, sender, key).
+    let mut late: Vec<(usize, usize, usize, u64)> = Vec::new();
+    let receive = |ops: &mut Vec<Op>, next_pseq: &mut [u64], r: usize, s: usize, k: u64| {
+        ops.push(Op::Record(StampRecord::Received {
+            process: r as u64,
+            pseq: next_pseq[r],
+            peer: s as u64,
+            key: k,
+            stamp: stamp(k),
+        }));
+        next_pseq[r] += 1;
+    };
+    let steps = 8 + rng.below(40);
+    for step in 0..steps {
+        while let Some(at) = late.iter().position(|&(due, ..)| due <= step) {
+            let (_, r, s, k) = late.swap_remove(at);
+            receive(&mut ops, &mut next_pseq, r, s, k);
+        }
         if rng.below(5) == 0 {
             let p = rng.below(processes);
             ops.push(Op::Record(StampRecord::Internal {
@@ -380,30 +385,36 @@ fn adversarial_stream(rng: &mut Mix, processes: usize) -> Vec<Op> {
         }
         let s = rng.below(processes);
         let r = (s + 1 + rng.below(processes - 1)) % processes;
-        // Now and then a message reuses an earlier key.
-        let k = if key > 0 && rng.below(8) == 0 {
-            rng.below(key as usize) as u64
+        // Now and then a message reuses an earlier key; a reused key may
+        // be reused again, so some keys carry three or more entries.
+        let k = if !used.is_empty() && rng.below(6) == 0 {
+            used[rng.below(used.len())]
         } else {
             key += 1;
-            key
+            if rng.below(3) == 0 {
+                ((s as u64 + 1) << 32) | key
+            } else {
+                key
+            }
         };
-        let st = stamp(k);
+        used.push(k);
         ops.push(Op::Record(StampRecord::Sent {
             process: s as u64,
             pseq: next_pseq[s],
             peer: r as u64,
             key: k,
-            stamp: st.clone(),
+            stamp: stamp(k),
         }));
         next_pseq[s] += 1;
-        ops.push(Op::Record(StampRecord::Received {
-            process: r as u64,
-            pseq: next_pseq[r],
-            peer: s as u64,
-            key: k,
-            stamp: st,
-        }));
-        next_pseq[r] += 1;
+        if rng.below(6) == 0 {
+            late.push((step + 4 + rng.below(16), r, s, k));
+        } else {
+            receive(&mut ops, &mut next_pseq, r, s, k);
+        }
+    }
+    // Receives still due land at the end, long after their sends.
+    for (_, r, s, k) in late {
+        receive(&mut ops, &mut next_pseq, r, s, k);
     }
     let breaks = rng.below(12);
     for _ in 0..breaks {
@@ -508,18 +519,26 @@ fn adversarial_stream(rng: &mut Mix, processes: usize) -> Vec<Op> {
     ops
 }
 
-/// A warm reader's poll, a fresh whole-directory read and the reference
-/// assembly must agree on every field of the recovered trace.
+/// A warm reader's poll, a fresh reader's first poll, the one-shot
+/// [`read_trace_dir`] and the reference assembly must agree on every
+/// field of the recovered trace.
 fn check_readers(
     reader: &mut TraceTailReader,
     dir: &Path,
     when: &str,
 ) -> Result<(), TestCaseError> {
     let warm = reader.poll().expect("warm poll");
-    let fresh = read_trace_dir(dir).expect("fresh read");
+    let first_poll = TraceTailReader::new(dir).poll().expect("first poll");
+    let one_shot = read_trace_dir(dir).expect("one-shot read");
     let reference = reference_read(dir).expect("reference read");
     prop_assert_eq!(&warm, &reference, "warm poll vs reference {}", when);
-    prop_assert_eq!(&fresh, &reference, "fresh read vs reference {}", when);
+    prop_assert_eq!(&first_poll, &reference, "first poll vs reference {}", when);
+    prop_assert_eq!(
+        &one_shot,
+        &reference,
+        "read_trace_dir vs reference {}",
+        when
+    );
     Ok(())
 }
 
@@ -537,7 +556,7 @@ proptest! {
     ) {
         let mut rng = Mix(seed);
         let ops = adversarial_stream(&mut rng, processes);
-        let root = temp_root("adversarial");
+        let root = TempDir::new("store-props-adversarial");
         let mut store = TraceStore::create(&root, "t", processes)
             .expect("create")
             .with_snapshot_every(0);
@@ -589,6 +608,39 @@ proptest! {
         }
         store.snapshot().expect("seal");
         check_readers(&mut reader, &dir, "after sealing")?;
-        let _ = std::fs::remove_dir_all(&root);
     }
+}
+
+/// The stream generator must actually reach the index paths it claims
+/// to: keys with three or more entries (spilled past the inline slots),
+/// keys above `u32::MAX`, and receives logged long after their sends.
+#[test]
+fn adversarial_streams_cover_the_index_paths() {
+    let (mut spilled, mut wide, mut late) = (0, 0, 0);
+    for seed in 0..200u64 {
+        let ops = adversarial_stream(&mut Mix(seed), 2 + (seed % 3) as usize);
+        let mut entries: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut sent_at: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut stream_late = false;
+        for (at, op) in ops.iter().enumerate() {
+            match op {
+                Op::Record(StampRecord::Sent { key, .. }) => {
+                    *entries.entry(*key).or_default() += 1;
+                    sent_at.entry(*key).or_insert(at);
+                }
+                Op::Record(StampRecord::Received { key, .. }) => {
+                    *entries.entry(*key).or_default() += 1;
+                    stream_late |= sent_at.get(key).is_some_and(|&s| at >= s + 8);
+                }
+                _ => {}
+            }
+        }
+        spilled += usize::from(entries.values().any(|&n| n >= 3));
+        wide += usize::from(entries.keys().any(|&k| k > u64::from(u32::MAX)));
+        late += usize::from(stream_late);
+    }
+    assert!(
+        spilled > 20 && wide > 20 && late > 20,
+        "{spilled} {wide} {late}"
+    );
 }

@@ -140,7 +140,8 @@ impl Mix {
 }
 
 /// A random realizable computation's histories, with its messages
-/// relabelled by scattered distinct keys.
+/// relabelled by scattered distinct keys, small or spread over the whole
+/// word.
 fn valid_sequences(rng: &mut Mix) -> Vec<Vec<EventKind>> {
     let n = 2 + rng.below(5);
     let steps = rng.below(40);
@@ -158,6 +159,13 @@ fn valid_sequences(rng: &mut Mix) -> Vec<Vec<EventKind>> {
     let mut keys: Vec<usize> = (0..comp.message_count() * 3 + 1).collect();
     for i in (1..keys.len()).rev() {
         keys.swap(i, rng.below(i + 1));
+    }
+    if rng.below(2) == 0 {
+        // Spread the keys over every byte of the word (an odd multiplier
+        // is a bijection), as runtime keys `process << 32 | seq` are.
+        for k in &mut keys {
+            *k = k.wrapping_mul(0x9e37_79b9_7f4a_7c15_u64 as usize);
+        }
     }
     (0..n)
         .map(|p| {

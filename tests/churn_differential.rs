@@ -25,6 +25,7 @@ use rand::SeedableRng;
 use synctime_core::clock::ClockBackend;
 use synctime_runtime::{reconstruct_from_logs, RuntimeError};
 use synctime_sim::{run_churn, ChurnConfig, ChurnError, ChurnPlan, ChurnRun, FaultPlan};
+use synctime_testutil::TempDir;
 use synctime_trace::Oracle;
 
 const BACKENDS: [ClockBackend; 4] = [
@@ -119,10 +120,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let plan = ChurnPlan::random(universe, boundaries, 2, &mut rng);
         let fault = FaultPlan::random(universe, 4, crashes, 0, &mut rng);
-        let root = std::env::temp_dir().join(format!(
-            "synctime-churn-diff-{}-{seed}-{universe}-{boundaries}-{crashes}",
-            std::process::id()
-        ));
+        let root = TempDir::new("churn-diff");
         for backend in BACKENDS {
             let Some(run) = run_backend(&plan, backend, &fault)? else {
                 continue;
@@ -136,7 +134,6 @@ proptest! {
                     ops: b.ops.clone(),
                 })
                 .collect();
-            let _ = std::fs::remove_dir_all(&root);
             let trace = backend_name(backend);
             synctime_store::persist_logs_with_reconfigs(&root, trace, &run.logs, &records)
                 .map_err(|e| TestCaseError::Fail(format!("persist ({trace}): {e}")))?;
@@ -152,6 +149,5 @@ proptest! {
                 trace
             );
         }
-        let _ = std::fs::remove_dir_all(&root);
     }
 }
