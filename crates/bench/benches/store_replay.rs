@@ -10,14 +10,16 @@
 //! * `ingest` — a rendezvous-heavy ring run, once bare and once with a
 //!   store writer attached via the runtime's log sink. The timed window
 //!   for the `persist` variant is the *run itself* (every rendezvous,
-//!   with the writer draining concurrently): the derived
-//!   `ingest_overhead` ratio must stay <= 1.10 on full reports from any
-//!   machine with a second hardware thread, because durability may not
-//!   tax the protocol. On a single hardware thread the writer's own
-//!   encode/write CPU cannot overlap the run — total CPU is conserved —
-//!   so the wall ratio necessarily absorbs it; such reports (the
-//!   `parallelism` field records the host's thread count) are gated at
-//!   the looser serial ceiling instead, still a real regression bound.
+//!   with the writer draining concurrently). The variants run in
+//!   interleaved reps, and the derived `ingest_overhead` is the median of
+//!   the per-rep persist/bare ratios; it must stay <= 1.10 on full
+//!   reports from any machine with a second hardware thread, because
+//!   durability may not tax the protocol. On a single hardware thread
+//!   the writer's own encode/write CPU cannot overlap the run — total
+//!   CPU is conserved — so the wall ratio necessarily absorbs it; such
+//!   reports (the `parallelism` field records the host's thread count)
+//!   are gated at the looser serial ceiling instead, still a real
+//!   regression bound.
 //!   The `channel` variant (a sink that receives and discards) isolates
 //!   what the run itself pays to emit events — the part of the tax that
 //!   survives on any machine. The drain-and-seal that follows the last
@@ -76,9 +78,10 @@ const SERIAL_INGEST_CEILING: f64 = 1.5;
 /// The replay-throughput floor (records/s) enforced on full reports.
 const REPLAY_FLOOR: f64 = 500_000.0;
 
-/// Timed repetitions per ingest variant; the best (minimum) elapsed time
-/// is reported, the standard way to strip scheduler noise from a ratio.
-const INGEST_REPS: usize = 3;
+/// Timed repetitions per ingest variant. Each rep runs every variant back
+/// to back, alternating which goes first; the gate reads the median of the
+/// per-rep persist/bare ratios, so no single noisy run decides it.
+const INGEST_REPS: usize = 7;
 
 // ---------------------------------------------------- tiny Value builders
 
@@ -196,6 +199,13 @@ fn run_ring(rounds: u64, sink: Sink) -> (u128, u128, Vec<Vec<LogEntry>>) {
     (run_ns, seal_ns, run.logs().to_vec())
 }
 
+/// The middle element of an odd-length sample (the upper middle of an
+/// even one).
+fn median<T: Copy + PartialOrd>(xs: &mut [T]) -> T {
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    xs[xs.len() / 2]
+}
+
 // --------------------------------------------------------------- records
 
 struct Record {
@@ -238,25 +248,38 @@ fn run_suite(smoke: bool) -> Value {
     let entries = RING * 2 * rounds as usize;
     let root = TempDir::new("bench-store");
 
-    // Ingest: bare vs persisted, best of INGEST_REPS, alternating so both
-    // variants see the same machine conditions.
+    // Ingest: bare vs persisted in interleaved reps — each rep runs all
+    // three variants, odd reps in reverse order, so both sides of every
+    // ratio see the same machine conditions — reporting medians.
     eprintln!("store_replay: ingest, ring of {RING}, {rounds} rounds x{INGEST_REPS}");
-    let mut bare_ns = u128::MAX;
-    let mut channel_ns = u128::MAX;
-    let mut persist_ns = u128::MAX;
-    let mut seal_ns = u128::MAX;
+    let mut bare = Vec::with_capacity(INGEST_REPS);
+    let mut channel = Vec::with_capacity(INGEST_REPS);
+    let mut persist = Vec::with_capacity(INGEST_REPS);
+    let mut seal = Vec::with_capacity(INGEST_REPS);
+    let mut ratios = Vec::with_capacity(INGEST_REPS);
     let mut truth: Vec<Vec<LogEntry>> = Vec::new();
     for rep in 0..INGEST_REPS {
-        let (ns, _, _) = run_ring(rounds, Sink::Bare);
-        bare_ns = bare_ns.min(ns);
-        let (ns, _, _) = run_ring(rounds, Sink::Channel);
-        channel_ns = channel_ns.min(ns);
         let trace = format!("ring-{rep}");
-        let (ns, seal, logs) = run_ring(rounds, Sink::Store(&root, &trace));
-        persist_ns = persist_ns.min(ns);
-        seal_ns = seal_ns.min(seal);
-        truth = logs;
+        let mut order = [Sink::Bare, Sink::Channel, Sink::Store(&root, &trace)];
+        if rep % 2 == 1 {
+            order.reverse();
+        }
+        for sink in order {
+            match sink {
+                Sink::Bare => bare.push(run_ring(rounds, sink).0),
+                Sink::Channel => channel.push(run_ring(rounds, sink).0),
+                Sink::Store(..) => {
+                    let (ns, seal_ns, logs) = run_ring(rounds, sink);
+                    persist.push(ns);
+                    seal.push(seal_ns);
+                    truth = logs;
+                }
+            }
+        }
+        ratios.push(persist[rep] as f64 / bare[rep].max(1) as f64);
     }
+    let (bare_ns, channel_ns) = (median(&mut bare), median(&mut channel));
+    let (persist_ns, seal_ns) = (median(&mut persist), median(&mut seal));
     let last_trace = root.join(format!("ring-{}", INGEST_REPS - 1));
 
     // Replay: recover the last persisted trace repeatedly — the restart
@@ -335,11 +358,7 @@ fn run_suite(smoke: bool) -> Value {
         },
     ];
 
-    let ingest_overhead = if bare_ns > 0 {
-        persist_ns as f64 / bare_ns as f64
-    } else {
-        0.0
-    };
+    let ingest_overhead = median(&mut ratios);
     let replay_rate = if recover_ns > 0 {
         (entries * replay_iters) as f64 / (recover_ns as f64 / 1e9)
     } else {

@@ -41,16 +41,16 @@ fn avg_bytes(comp: &SyncComputation, stamps: &MessageTimestamps, delta: bool) ->
         .collect();
     let mut total = 0usize;
     for m in comp.messages() {
-        let v = stamps.vector(m.id);
+        let v = stamps.vector(m.id).to_vector();
         if delta {
-            let bytes = encoders[m.sender].encode(m.receiver, v);
+            let bytes = encoders[m.sender].encode(m.receiver, &v);
             let decoded = decoders[m.receiver]
                 .decode(m.sender, &bytes)
                 .expect("stream decodes");
-            assert_eq!(&decoded, v);
+            assert_eq!(decoded, v);
             total += bytes.len();
         } else {
-            total += encode_full(v).len();
+            total += encode_full(&v).len();
         }
     }
     total as f64 / comp.message_count() as f64

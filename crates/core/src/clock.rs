@@ -107,10 +107,22 @@ pub trait Clock: Clone + PartialEq + Eq + fmt::Debug + Send + Sync + 'static {
     /// caller bug, exactly as for [`VectorTime::compare`]).
     fn compare(&self, other: &Self) -> VectorOrder;
 
-    /// The dense interchange form. Stamps leave every backend as
-    /// [`VectorTime`]s, which is what keeps cross-backend outputs directly
-    /// comparable (and [`crate::MessageTimestamps`] backend-agnostic).
-    fn to_vector(&self) -> VectorTime;
+    /// Writes the components into `row` — the in-place dense form stamp
+    /// tables are filled with, which is what keeps cross-backend outputs
+    /// directly comparable (and [`crate::MessageTimestamps`]
+    /// backend-agnostic).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != dim()`.
+    fn write_row(&self, row: &mut [u64]);
+
+    /// The dense interchange form as an owned [`VectorTime`].
+    fn to_vector(&self) -> VectorTime {
+        let mut v = VectorTime::zero(self.dim());
+        self.write_row(v.as_mut_slice());
+        v
+    }
 
     /// Builds a clock from its dense interchange form.
     ///
@@ -178,6 +190,10 @@ impl Clock for VectorTime {
 
     fn compare(&self, other: &Self) -> VectorOrder {
         VectorTime::compare(self, other)
+    }
+
+    fn write_row(&self, row: &mut [u64]) {
+        row.copy_from_slice(self.as_slice());
     }
 
     fn to_vector(&self) -> VectorTime {
@@ -445,8 +461,8 @@ impl Clock for TreeClock {
         }
     }
 
-    fn to_vector(&self) -> VectorTime {
-        VectorTime::from(self.maxs[self.base..self.base + self.dim].to_vec())
+    fn write_row(&self, row: &mut [u64]) {
+        row.copy_from_slice(&self.maxs[self.base..self.base + self.dim]);
     }
 
     fn from_vector(v: &VectorTime) -> Result<Self, CoreError> {
@@ -570,8 +586,8 @@ impl<const K: usize> Clock for FixedArray<K> {
         }
     }
 
-    fn to_vector(&self) -> VectorTime {
-        VectorTime::from(self.lanes[..self.len].to_vec())
+    fn write_row(&self, row: &mut [u64]) {
+        row.copy_from_slice(&self.lanes[..self.len]);
     }
 
     fn from_vector(v: &VectorTime) -> Result<Self, CoreError> {

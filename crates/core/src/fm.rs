@@ -25,18 +25,19 @@ use crate::{MessageTimestamps, VectorTime};
 pub fn stamp_messages(computation: &SyncComputation) -> MessageTimestamps {
     let n = computation.process_count();
     let mut clocks: Vec<VectorTime> = vec![VectorTime::zero(n); n];
-    let mut stamps = Vec::with_capacity(computation.message_count());
+    let len = computation.message_count();
+    let mut table = Vec::with_capacity(len * n);
     for m in computation.messages() {
         let mut v = clocks[m.sender].clone();
         v.merge_max(&clocks[m.receiver])
             .expect("all Fidge–Mattern clocks share dimension N");
         v.increment(m.sender);
         v.increment(m.receiver);
-        clocks[m.sender] = v.clone();
+        table.extend_from_slice(v.as_slice());
         clocks[m.receiver] = v.clone();
-        stamps.push(v);
+        clocks[m.sender] = v;
     }
-    MessageTimestamps::new(stamps)
+    MessageTimestamps::from_table(len, n, table)
 }
 
 /// Fidge–Mattern timestamps for **all events** (internal and external) of a

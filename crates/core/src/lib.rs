@@ -85,4 +85,4 @@ pub mod wire;
 
 pub use clock::{Clock, ClockBackend, DenseVec, FixedArray, FixedArray16, TreeClock};
 pub use error::CoreError;
-pub use vector::{MessageTimestamps, VectorOrder, VectorTime};
+pub use vector::{MessageTimestamps, Rows, StampRow, VectorOrder, VectorTime};

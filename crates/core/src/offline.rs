@@ -16,7 +16,7 @@ use synctime_poset::{realizer, Poset, SparsePoset};
 use synctime_trace::{stream, Oracle, SyncComputation};
 
 use crate::clock::Clock;
-use crate::{CoreError, MessageTimestamps, VectorTime};
+use crate::{CoreError, MessageTimestamps};
 
 /// Offline-stamps all messages of a completed computation.
 ///
@@ -47,18 +47,15 @@ pub fn stamp_computation(computation: &SyncComputation) -> MessageTimestamps {
 pub fn stamp_poset(poset: &Poset) -> MessageTimestamps {
     let extensions = realizer::chain_realizer(poset);
     debug_assert!(realizer::verify(poset, &extensions));
-    let table = realizer::position_table(poset, &extensions);
-    let vectors: Vec<VectorTime> = (0..poset.len())
-        .map(|m| {
-            VectorTime::from(
-                table
-                    .iter()
-                    .map(|positions| positions[m] as u64)
-                    .collect::<Vec<u64>>(),
-            )
-        })
-        .collect();
-    MessageTimestamps::new(vectors)
+    let positions = realizer::position_table(poset, &extensions);
+    let dim = positions.len();
+    let mut table = vec![0u64; poset.len() * dim];
+    for (k, column) in positions.iter().enumerate() {
+        for (m, &position) in column.iter().enumerate() {
+            table[m * dim + k] = position as u64;
+        }
+    }
+    MessageTimestamps::from_table(poset.len(), dim, table)
 }
 
 /// Sparse-engine offline stamping: per-sender chain partition, one chain
@@ -93,8 +90,9 @@ pub fn stamp_computation_sparse(computation: &SyncComputation) -> MessageTimesta
 ///
 /// The dense engine computes each stamp as before; every vector is then
 /// pushed through `C`'s delta-merge path and read back, so the backend's
-/// arithmetic — not just [`VectorTime`]'s — is exercised end to end. The
-/// output is bit-identical to [`stamp_computation`] for every backend.
+/// arithmetic — not just [`VectorTime`](crate::VectorTime)'s — is
+/// exercised end to end. The output is bit-identical to
+/// [`stamp_computation`] for every backend.
 ///
 /// # Errors
 ///
@@ -124,20 +122,23 @@ pub fn stamp_computation_sparse_as<C: Clock>(
 fn reemit_through_backend<C: Clock>(
     stamps: MessageTimestamps,
 ) -> Result<MessageTimestamps, CoreError> {
-    let mut vectors = Vec::with_capacity(stamps.len());
-    for v in stamps.vectors() {
-        let mut clock = C::try_zero(v.dim())?;
-        let changes: Vec<(usize, u64)> = v
-            .as_slice()
-            .iter()
-            .enumerate()
-            .filter(|(_, &x)| x != 0)
-            .map(|(i, &x)| (i, x))
-            .collect();
+    let dim = stamps.dim();
+    let mut table = vec![0u64; stamps.len() * dim];
+    let zero = C::try_zero(dim)?;
+    let mut changes: Vec<(usize, u64)> = Vec::with_capacity(dim);
+    for (m, row) in stamps.vectors().iter().enumerate() {
+        let mut clock = zero.clone();
+        changes.clear();
+        changes.extend(
+            row.iter()
+                .enumerate()
+                .filter(|(_, &x)| x != 0)
+                .map(|(i, &x)| (i, x)),
+        );
         clock.merge_delta(&changes)?;
-        vectors.push(clock.to_vector());
+        clock.write_row(&mut table[m * dim..][..dim]);
     }
-    Ok(MessageTimestamps::new(vectors))
+    Ok(MessageTimestamps::from_table(stamps.len(), dim, table))
 }
 
 /// [`stamp_computation_sparse`] given a worker pool. The output is
@@ -170,9 +171,15 @@ pub fn stamp_sparse_poset_with(
     poset: &SparsePoset,
     _pool: Option<&ThreadPool>,
 ) -> MessageTimestamps {
-    let mut vectors = vec![VectorTime::zero(0); poset.len()];
+    // One component per non-empty chain: the extensions the rank pass
+    // reports ranks in.
+    let dim = poset.chains().iter().filter(|c| !c.is_empty()).count();
+    let mut table = vec![0u64; poset.len() * dim];
     realizer::sparse_extension_ranks(poset, |m, ranks| {
-        vectors[m] = VectorTime::from(ranks.iter().map(|&r| u64::from(r)).collect::<Vec<u64>>());
+        debug_assert_eq!(ranks.len(), dim);
+        for (out, &r) in table[m * dim..][..dim].iter_mut().zip(ranks) {
+            *out = u64::from(r);
+        }
     });
     // Full pairwise verification is quadratic; keep the debug assertion to
     // sizes where it is instant (every unit/property test qualifies).
@@ -180,7 +187,7 @@ pub fn stamp_sparse_poset_with(
         poset.len() > 2048
             || realizer::sparse_verify(poset, &realizer::sparse_chain_realizer(poset).1)
     );
-    MessageTimestamps::new(vectors)
+    MessageTimestamps::from_table(poset.len(), dim, table)
 }
 
 #[cfg(test)]

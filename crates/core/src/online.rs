@@ -279,11 +279,12 @@ pub fn stamp_computation_as<C: Clock>(
 ) -> Result<MessageTimestamps, CoreError> {
     let mut session =
         GenericOnlineSession::<C>::try_new(decomposition, computation.process_count())?;
-    let mut stamps = Vec::with_capacity(computation.message_count());
-    for m in computation.messages() {
-        stamps.push(session.stamp(m.sender, m.receiver)?);
+    let (len, dim) = (computation.message_count(), decomposition.len());
+    let mut table = vec![0u64; len * dim];
+    for (i, m) in computation.messages().iter().enumerate() {
+        session.stamp_into(m.sender, m.receiver, &mut table[i * dim..][..dim])?;
     }
-    Ok(MessageTimestamps::new(stamps))
+    Ok(MessageTimestamps::from_table(len, dim, table))
 }
 
 /// An incremental stamping session: the clocks of all `n` processes, fed
@@ -446,6 +447,31 @@ impl<C: Clock> GenericOnlineSession<C> {
     /// edge is in no group, or [`CoreError::ProcessOutOfRange`] for bad
     /// process ids.
     pub fn stamp(&mut self, sender: usize, receiver: usize) -> Result<VectorTime, CoreError> {
+        Ok(self.rendezvous(sender, receiver)?.to_vector())
+    }
+
+    /// [`stamp`](Self::stamp) writing the timestamp into `row`, one row of
+    /// a stamp table, instead of returning an owned vector.
+    ///
+    /// # Errors
+    ///
+    /// As [`stamp`](Self::stamp).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len()` is not the session's dimension.
+    pub fn stamp_into(
+        &mut self,
+        sender: usize,
+        receiver: usize,
+        row: &mut [u64],
+    ) -> Result<(), CoreError> {
+        self.rendezvous(sender, receiver)?.write_row(row);
+        Ok(())
+    }
+
+    /// One rendezvous; returns the sender's clock, which is the stamp.
+    fn rendezvous(&mut self, sender: usize, receiver: usize) -> Result<C, CoreError> {
         for &p in &[sender, receiver] {
             if p >= self.clocks.len() {
                 return Err(CoreError::ProcessOutOfRange {
@@ -464,7 +490,7 @@ impl<C: Clock> GenericOnlineSession<C> {
         let t_send = self.clocks[sender].on_acknowledgement(&ack, group)?;
         debug_assert_eq!(t_send, t_recv, "protocol endpoints must agree");
         self.stamped += 1;
-        Ok(t_send.to_vector())
+        Ok(t_send)
     }
 }
 
@@ -602,7 +628,7 @@ mod tests {
         }
         let comp = b.build();
         let stamps = OnlineStamper::new(&dec).stamp_computation(&comp).unwrap();
-        let values: Vec<u64> = stamps.vectors().iter().map(|v| v.component(0)).collect();
+        let values: Vec<u64> = stamps.vectors().iter().map(|v| v[0]).collect();
         assert_eq!(values, (1..=8).collect::<Vec<u64>>());
         assert!(stamps.encodes(&Oracle::new(&comp)));
     }
@@ -661,7 +687,7 @@ mod tests {
         let mut tree = GenericOnlineSession::<TreeClock>::try_new(&dec, 4).unwrap();
         for (i, (s, r)) in pairs.iter().enumerate() {
             let t = session.stamp(*s, *r).unwrap();
-            assert_eq!(&t, batch.vector(MessageId(i)));
+            assert_eq!(batch.vector(MessageId(i)), t);
             assert_eq!(tree.stamp(*s, *r).unwrap(), t);
         }
         assert_eq!(session.stamped(), pairs.len());

@@ -109,21 +109,12 @@ impl VectorTime {
     }
 
     /// Full vector-order comparison.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ.
     pub fn compare(&self, other: &VectorTime) -> VectorOrder {
-        assert_eq!(
-            self.dim(),
-            other.dim(),
-            "cannot compare vectors of dimensions {} and {}",
-            self.dim(),
-            other.dim()
-        );
-        let (some_less, some_greater) = kernel::compare_lanes(&self.components, &other.components);
-        match (some_less, some_greater) {
-            (false, false) => VectorOrder::Equal,
-            (true, false) => VectorOrder::Less,
-            (false, true) => VectorOrder::Greater,
-            (true, true) => VectorOrder::Concurrent,
-        }
+        VectorOrder::of_rows(&self.components, &other.components)
     }
 
     /// Component-wise `≤` (used by the Theorem 9 event test, where equality
@@ -152,27 +143,40 @@ impl PartialOrd for VectorTime {
 
 impl fmt::Display for VectorTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(")?;
-        for (i, c) in self.components.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{c}")?;
-        }
-        write!(f, ")")
+        write_components(f, &self.components)
     }
+}
+
+/// Writes components as `(c0,c1,...)`.
+fn write_components(f: &mut fmt::Formatter<'_>, components: &[u64]) -> fmt::Result {
+    write!(f, "(")?;
+    for (i, c) in components.iter().enumerate() {
+        if i > 0 {
+            write!(f, ",")?;
+        }
+        write!(f, "{c}")?;
+    }
+    write!(f, ")")
 }
 
 /// The per-message timestamps produced by one run of a timestamping
 /// algorithm, with the paper's precedence test as methods.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The stamps live in one row-major table: message `m`'s vector is the
+/// row `table[m·dim .. (m+1)·dim]`. Every row shares the one dimension,
+/// the message count is stored explicitly (a dimension-0 table still has
+/// `len` rows), and readers borrow rows as `&[u64]` slices instead of
+/// owning a vector per message.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MessageTimestamps {
-    vectors: Vec<VectorTime>,
+    table: Vec<u64>,
     dim: usize,
+    len: usize,
 }
 
 impl MessageTimestamps {
-    /// Wraps a per-message vector table (indexed by message id).
+    /// Copies a per-message vector list (indexed by message id) into a
+    /// table.
     ///
     /// # Panics
     ///
@@ -183,7 +187,32 @@ impl MessageTimestamps {
             vectors.iter().all(|v| v.dim() == dim),
             "all timestamps must share one dimension"
         );
-        MessageTimestamps { vectors, dim }
+        let mut table = Vec::with_capacity(vectors.len() * dim);
+        for v in &vectors {
+            table.extend_from_slice(v.as_slice());
+        }
+        MessageTimestamps {
+            table,
+            dim,
+            len: vectors.len(),
+        }
+    }
+
+    /// Wraps a row-major table of `len` rows of `dim` components each —
+    /// the form every stamper writes in place. An empty table reports
+    /// dimension 0, as `new(Vec::new())` does: no stamp fixes a dimension.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table.len() != len * dim`.
+    pub fn from_table(len: usize, dim: usize, table: Vec<u64>) -> Self {
+        assert_eq!(
+            Some(table.len()),
+            len.checked_mul(dim),
+            "a stamp table holds exactly len x dim components"
+        );
+        let dim = if len == 0 { 0 } else { dim };
+        MessageTimestamps { table, dim, len }
     }
 
     /// The timestamp dimension (number of vector components).
@@ -193,39 +222,71 @@ impl MessageTimestamps {
 
     /// Number of stamped messages.
     pub fn len(&self) -> usize {
-        self.vectors.len()
+        self.len
     }
 
     /// Whether no messages were stamped.
     pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
+        self.len == 0
     }
 
-    /// The timestamp of a message.
+    /// The row of message `m`.
     ///
     /// # Panics
     ///
     /// Panics if the id is out of range.
-    pub fn vector(&self, m: MessageId) -> &VectorTime {
-        &self.vectors[m.0]
+    #[inline]
+    fn row(&self, m: MessageId) -> &[u64] {
+        assert!(
+            m.0 < self.len,
+            "message {} out of range ({} stamped)",
+            m.0,
+            self.len
+        );
+        &self.table[m.0 * self.dim..][..self.dim]
     }
 
-    /// All timestamps, indexed by message id.
-    pub fn vectors(&self) -> &[VectorTime] {
-        &self.vectors
+    /// The timestamp of a message, borrowed from the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    pub fn vector(&self, m: MessageId) -> StampRow<'_> {
+        StampRow(self.row(m))
+    }
+
+    /// All timestamps, indexed by message id, as a borrowed row view.
+    pub fn vectors(&self) -> Rows<'_> {
+        Rows {
+            table: &self.table,
+            dim: self.dim,
+            len: self.len,
+        }
+    }
+
+    /// The vector order between the stamps of `m1` and `m2`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either id is out of range.
+    #[inline]
+    pub fn order(&self, m1: MessageId, m2: MessageId) -> VectorOrder {
+        VectorOrder::of_rows(self.row(m1), self.row(m2))
     }
 
     /// The precedence test: `m1 ↦ m2` iff `v(m1) < v(m2)`.
+    #[inline]
     pub fn precedes(&self, m1: MessageId, m2: MessageId) -> bool {
-        self.vectors[m1.0].compare(&self.vectors[m2.0]) == VectorOrder::Less
+        self.order(m1, m2) == VectorOrder::Less
     }
 
     /// The concurrency test: neither vector is below the other and the
     /// messages are distinct.
+    #[inline]
     pub fn concurrent(&self, m1: MessageId, m2: MessageId) -> bool {
         m1 != m2
             && matches!(
-                self.vectors[m1.0].compare(&self.vectors[m2.0]),
+                self.order(m1, m2),
                 VectorOrder::Concurrent | VectorOrder::Equal
             )
     }
@@ -234,7 +295,7 @@ impl MessageTimestamps {
     /// pair, `precedes(m1, m2) ⟺ m1 ↦ m2` per the ground-truth `oracle`
     /// (the central property, Theorem 4 / Figure 9). `O(|M|²)`.
     pub fn encodes(&self, oracle: &synctime_trace::Oracle) -> bool {
-        let n = self.vectors.len();
+        let n = self.len;
         if oracle.message_poset().len() != n {
             return false;
         }
@@ -245,6 +306,94 @@ impl MessageTimestamps {
                         == oracle.synchronously_precedes(MessageId(i), MessageId(j))
             })
         })
+    }
+}
+
+impl VectorOrder {
+    /// The vector order between two equal-length component rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows differ in length.
+    #[inline]
+    pub fn of_rows(a: &[u64], b: &[u64]) -> VectorOrder {
+        assert_eq!(
+            a.len(),
+            b.len(),
+            "cannot compare vectors of dimensions {} and {}",
+            a.len(),
+            b.len()
+        );
+        match kernel::compare_lanes(a, b) {
+            (false, false) => VectorOrder::Equal,
+            (true, false) => VectorOrder::Less,
+            (false, true) => VectorOrder::Greater,
+            (true, true) => VectorOrder::Concurrent,
+        }
+    }
+}
+
+/// One message's timestamp, borrowed from a [`MessageTimestamps`] table.
+///
+/// Prints like the [`VectorTime`] it stands for; [`StampRow::to_vector`]
+/// makes an owned copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StampRow<'a>(&'a [u64]);
+
+impl<'a> StampRow<'a> {
+    /// The components as a slice.
+    pub fn as_slice(&self) -> &'a [u64] {
+        self.0
+    }
+
+    /// One component.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not below the dimension.
+    pub fn component(&self, idx: usize) -> u64 {
+        self.0[idx]
+    }
+
+    /// An owned copy of the timestamp.
+    pub fn to_vector(&self) -> VectorTime {
+        VectorTime::from(self.0.to_vec())
+    }
+}
+
+impl PartialEq<VectorTime> for StampRow<'_> {
+    fn eq(&self, other: &VectorTime) -> bool {
+        self.0 == other.as_slice()
+    }
+}
+
+impl fmt::Display for StampRow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_components(f, self.0)
+    }
+}
+
+/// Every row of a [`MessageTimestamps`] table, indexed by message id;
+/// [`Rows::iter`] yields each message's components as a borrowed `&[u64]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rows<'a> {
+    table: &'a [u64],
+    dim: usize,
+    len: usize,
+}
+
+impl<'a> Rows<'a> {
+    /// The rows in message-id order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [u64]> + 'a {
+        let Rows { table, dim, len } = *self;
+        (0..len).map(move |m| &table[m * dim..][..dim])
+    }
+
+    /// Owned copies of every row, indexed by message id.
+    pub fn to_vec(&self) -> Vec<VectorTime> {
+        self.iter()
+            .map(|row| VectorTime::from(row.to_vec()))
+            .collect()
     }
 }
 

@@ -40,7 +40,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
-use synctime_core::MessageTimestamps;
+use synctime_core::{MessageTimestamps, VectorOrder};
 use synctime_trace::MessageId;
 
 use crate::catalog::QueryFabric;
@@ -109,14 +109,22 @@ pub fn answer_query_into(
         }
         QUERY_CHAIN_OF => {
             let m = check(m1)?;
+            let row = stamps.vector(m).as_slice();
             // Count prefix backpatched once the ids are appended, so the
             // ordered set is never materialised separately.
             let count_at = out.len();
             out.extend_from_slice(&[0u8; 4]);
             let mut count = 0u32;
-            for o in (0..stamps.len()).map(MessageId) {
-                if o == m || stamps.precedes(o, m) || stamps.precedes(m, o) {
-                    out.extend_from_slice(&(o.0 as u32).to_le_bytes());
+            // One comparison per row: `Less | Greater` is ordered either
+            // way; equal stamps on distinct messages are not.
+            for (o, other) in stamps.vectors().iter().enumerate() {
+                if o == m.0
+                    || matches!(
+                        VectorOrder::of_rows(other, row),
+                        VectorOrder::Less | VectorOrder::Greater
+                    )
+                {
+                    out.extend_from_slice(&(o as u32).to_le_bytes());
                     count += 1;
                 }
             }
@@ -828,6 +836,15 @@ mod tests {
         ])
     }
 
+    /// The chain-of answer body for an ordered id list.
+    fn chain_body(ids: &[u32]) -> Vec<u8> {
+        let mut body = (ids.len() as u32).to_le_bytes().to_vec();
+        for id in ids {
+            body.extend_from_slice(&id.to_le_bytes());
+        }
+        body
+    }
+
     #[test]
     fn answers_all_kinds() {
         let stamps = diamond();
@@ -841,7 +858,21 @@ mod tests {
         assert_eq!(answer(QUERY_CONCURRENT, 0, 3).unwrap(), vec![0]);
         let chain = answer(QUERY_CHAIN_OF, 1, 0).unwrap();
         // m1's ordered set: m0 < m1 < m3 (m2 is concurrent with m1).
-        assert_eq!(chain[..4], 3u32.to_le_bytes());
+        assert_eq!(chain, chain_body(&[0, 1, 3]));
+        // Equal stamps on distinct messages are unordered: chain-of keeps
+        // m itself but leaves out its twin.
+        let twins = MessageTimestamps::new(vec![
+            VectorTime::from(vec![1, 0]),
+            VectorTime::from(vec![1, 0]),
+            VectorTime::from(vec![2, 1]),
+            VectorTime::from(vec![0, 1]),
+        ]);
+        let mut body = Vec::new();
+        answer_query_into(&twins, QUERY_CHAIN_OF, 0, 0, &mut body).unwrap();
+        assert_eq!(body, chain_body(&[0, 2]));
+        body.clear();
+        answer_query_into(&twins, QUERY_CHAIN_OF, 1, 0, &mut body).unwrap();
+        assert_eq!(body, chain_body(&[1, 2]));
         assert!(answer(QUERY_PRECEDES, 0, 99).is_err());
         assert!(answer(77, 0, 1).is_err());
         // A rejected query appends nothing to the caller's buffer.

@@ -112,10 +112,13 @@ impl RunShared {
 /// processes keep computing — and never flags slow-but-live runs: a chain
 /// of parked threads whose head is merely napping has no cycle, no matter
 /// how long the chain has been parked.
+///
+/// It naps by parking, so the run unparks it once every behavior has
+/// joined: the run returns then, not up to a full poll later.
 fn watchdog_loop(shared: &RunShared, timeout: Duration) {
     let poll = (timeout / 8).clamp(Duration::from_millis(1), Duration::from_millis(50));
     loop {
-        std::thread::sleep(poll);
+        std::thread::park_timeout(poll);
         if shared.finished.load(Ordering::Acquire) || shared.aborted() {
             return;
         }
@@ -1311,10 +1314,10 @@ impl Runtime {
 
         let results: Vec<(Vec<LogEntry>, VectorTime, Option<RuntimeError>)> =
             std::thread::scope(|s| {
-                if let Some(timeout) = self.watchdog {
+                let watchdog = self.watchdog.map(|timeout| {
                     let shared = Arc::clone(&shared);
-                    s.spawn(move || watchdog_loop(&shared, timeout));
-                }
+                    s.spawn(move || watchdog_loop(&shared, timeout))
+                });
                 let handles: Vec<_> = behaviors
                     .into_iter()
                     .zip(ctxs)
@@ -1358,6 +1361,9 @@ impl Runtime {
                     })
                     .collect();
                 shared.finished.store(true, Ordering::Release);
+                if let Some(watchdog) = watchdog {
+                    watchdog.thread().unpark();
+                }
                 results
             });
 
@@ -1619,9 +1625,10 @@ impl RuntimeRun {
 /// # Errors
 ///
 /// Propagates [`TraceError`]s from sequence reconstruction (mismatched or
-/// truncated logs, e.g. from a crashed node), and
+/// truncated logs, e.g. from a crashed node),
 /// [`TraceError::StampMismatch`] when a message's send and receive entries
-/// carry different stamps.
+/// carry different stamps, and [`TraceError::DimensionMismatch`] when a
+/// stamp's dimension differs from the first logged stamp's.
 pub fn reconstruct_from_logs(
     logs: &[Vec<LogEntry>],
 ) -> Result<(SyncComputation, MessageTimestamps), TraceError> {
@@ -1638,10 +1645,29 @@ pub fn reconstruct_from_logs(
         })
         .collect();
     let computation = SyncComputation::from_process_sequences(sequences)?;
+    // Every stamp must have the dimension the first logged stamp sets.
+    // Checking before the table is allocated bounds it by the stamps the
+    // logs already hold, whatever their bytes said.
+    let mut dim = None;
+    for entry in logs.iter().flatten() {
+        if let LogEntry::Sent { key, stamp, .. } | LogEntry::Received { key, stamp, .. } = entry {
+            let expected = *dim.get_or_insert(stamp.dim());
+            if stamp.dim() != expected {
+                return Err(TraceError::DimensionMismatch {
+                    message: *key as usize,
+                    expected,
+                    got: stamp.dim(),
+                });
+            }
+        }
+    }
+    let (len, dim) = (computation.message_count(), dim.unwrap_or(0));
     // Re-associate stamps: process p's i-th logged rendezvous is its
-    // i-th message in the rebuilt computation's local order. Both
-    // endpoints must have logged the same stamp.
-    let mut stamps: Vec<Option<&VectorTime>> = vec![None; computation.message_count()];
+    // i-th message in the rebuilt computation's local order, and its stamp
+    // is copied into that message's row. Both endpoints must have logged
+    // the same stamp.
+    let mut table = vec![0u64; len * dim];
+    let mut filled = vec![false; len];
     for (p, log) in logs.iter().enumerate() {
         let local = computation.process_messages(p);
         let mut next = 0usize;
@@ -1654,14 +1680,14 @@ pub fn reconstruct_from_logs(
             };
             let id = local[next];
             next += 1;
-            match stamps[id.0] {
-                None => stamps[id.0] = Some(stamp),
-                Some(prev) if prev == stamp => {}
-                Some(_) => {
-                    return Err(TraceError::StampMismatch {
-                        message: *key as usize,
-                    })
-                }
+            let row = &mut table[id.0 * dim..][..dim];
+            if !filled[id.0] {
+                row.copy_from_slice(stamp.as_slice());
+                filled[id.0] = true;
+            } else if row != stamp.as_slice() {
+                return Err(TraceError::StampMismatch {
+                    message: *key as usize,
+                });
             }
         }
     }
@@ -1669,15 +1695,10 @@ pub fn reconstruct_from_logs(
     // appears at both endpoints, so a missing stamp is unreachable —
     // but surfaced as a typed error, not a panic, to keep the runtime
     // crate panic-free.
-    let vectors: Vec<VectorTime> = stamps
-        .into_iter()
-        .enumerate()
-        .map(|(id, s)| {
-            s.cloned()
-                .ok_or(TraceError::MalformedSequences { message: id })
-        })
-        .collect::<Result<_, _>>()?;
-    Ok((computation, MessageTimestamps::new(vectors)))
+    if let Some(id) = filled.iter().position(|&f| !f) {
+        return Err(TraceError::MalformedSequences { message: id });
+    }
+    Ok((computation, MessageTimestamps::from_table(len, dim, table)))
 }
 
 #[cfg(test)]
@@ -1718,7 +1739,7 @@ mod tests {
         assert_eq!(stamps.dim(), 1);
         assert!(stamps.encodes(&Oracle::new(&comp)));
         // Scalar components strictly increase: the path is a star (Lemma 1).
-        let vals: Vec<u64> = stamps.vectors().iter().map(|v| v.component(0)).collect();
+        let vals: Vec<u64> = stamps.vectors().iter().map(|v| v[0]).collect();
         assert_eq!(vals, (1..=10).collect::<Vec<u64>>());
     }
 
@@ -1751,7 +1772,7 @@ mod tests {
         let (comp, stamps) = run.reconstruct().unwrap();
         assert_eq!(comp.message_count(), 10);
         assert!(stamps.encodes(&Oracle::new(&comp)));
-        let vals: Vec<u64> = stamps.vectors().iter().map(|v| v.component(0)).collect();
+        let vals: Vec<u64> = stamps.vectors().iter().map(|v| v[0]).collect();
         assert_eq!(vals, (1..=10).collect::<Vec<u64>>());
     }
 

@@ -103,7 +103,9 @@ pub fn persist_logs_with_reconfigs(
 /// [`StoreError::Replay`] when the recovered logs do not reassemble into
 /// a synchronous computation (recovery's trimming rules make this
 /// unreachable for stores written by this crate, but adversarial bytes
-/// surface here as a typed error rather than a panic).
+/// surface here as a typed error rather than a panic), or when their
+/// stamps mix dimensions — as a whole reconfigured trace whose epochs
+/// changed dimension does; serve those with [`materialize_latest_epoch`].
 pub fn materialize(
     logs: &[Vec<LogEntry>],
 ) -> Result<(SyncComputation, MessageTimestamps), StoreError> {
@@ -499,6 +501,95 @@ mod tests {
             Err(StoreError::Replay(detail)) => assert_eq!(detail, expected),
             other => panic!("expected a replay error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn mixed_dimension_stamps_fail_replay_with_a_typed_error() {
+        use synctime_core::VectorTime;
+        // Key 0 stamped (1,0) and key 1 stamped (1,1,0), each logged the
+        // same at both endpoints: no one table holds both rows.
+        let send = |key, stamp: &[u64]| LogEntry::Sent {
+            to: 1,
+            key,
+            stamp: VectorTime::from(stamp.to_vec()),
+        };
+        let receive = |key, stamp: &[u64]| LogEntry::Received {
+            from: 0,
+            key,
+            stamp: VectorTime::from(stamp.to_vec()),
+        };
+        let logs = vec![
+            vec![send(0, &[1, 0]), send(1, &[1, 1, 0])],
+            vec![receive(0, &[1, 0]), receive(1, &[1, 1, 0])],
+        ];
+        let expected = synctime_trace::TraceError::DimensionMismatch {
+            message: 1,
+            expected: 2,
+            got: 3,
+        }
+        .to_string();
+        match materialize(&logs) {
+            Err(StoreError::Replay(detail)) => assert_eq!(detail, expected),
+            other => panic!("expected a replay error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn whole_trace_materialize_of_a_dimension_changing_epoch_is_typed() {
+        use crate::ReconfigRecord;
+        use synctime_core::VectorTime;
+        // Epoch 1 stamps in one more dimension than epoch 0 (and keeps its
+        // keys distinct, so the sequences reassemble): the whole trace
+        // cannot form one table, its latest epoch can.
+        let root = TempDir::new("store-test-epoch-dims");
+        let epoch0 = ping_pong_logs(2);
+        let offset = epoch0[0].len() as u64;
+        let widen = |stamp: &VectorTime| {
+            let mut components = stamp.as_slice().to_vec();
+            components.push(0);
+            VectorTime::from(components)
+        };
+        let epoch1: Vec<Vec<LogEntry>> = ping_pong_logs(3)
+            .iter()
+            .map(|log| {
+                log.iter()
+                    .map(|entry| match entry {
+                        LogEntry::Sent { to, key, stamp } => LogEntry::Sent {
+                            to: *to,
+                            key: key + offset,
+                            stamp: widen(stamp),
+                        },
+                        LogEntry::Received { from, key, stamp } => LogEntry::Received {
+                            from: *from,
+                            key: key + offset,
+                            stamp: widen(stamp),
+                        },
+                        LogEntry::Internal => LogEntry::Internal,
+                    })
+                    .collect()
+            })
+            .collect();
+        let boundary = ReconfigRecord {
+            epoch: 1,
+            cuts: epoch0.iter().map(|log| log.len() as u64).collect(),
+            ops: vec![(0, 0, 1)],
+        };
+        let merged: Vec<Vec<LogEntry>> = epoch0
+            .iter()
+            .zip(&epoch1)
+            .map(|(a, b)| a.iter().chain(b).cloned().collect())
+            .collect();
+        let store =
+            persist_logs_with_reconfigs(&root, "widened", &merged, &[boundary]).expect("persist");
+        let rec = read_trace_dir(store.dir()).expect("recover");
+        match materialize(&rec.logs) {
+            Err(StoreError::Replay(detail)) => {
+                assert!(detail.contains("stamped with 2 components"), "{detail}")
+            }
+            other => panic!("expected a replay error, got {other:?}"),
+        }
+        let (epoch, _, stamps) = materialize_latest_epoch(&rec).expect("latest epoch");
+        assert_eq!((epoch, stamps.dim(), stamps.len()), (1, 2, 6));
     }
 
     #[test]

@@ -43,6 +43,16 @@ pub enum TraceError {
         /// The message's key in the logs.
         message: usize,
     },
+    /// A logged stamp's dimension differs from the trace's (the first
+    /// logged stamp's); one stamp table holds a single dimension.
+    DimensionMismatch {
+        /// The message's key in the logs.
+        message: usize,
+        /// The trace's stamp dimension.
+        expected: usize,
+        /// The dimension this message's stamp has.
+        got: usize,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -79,6 +89,16 @@ impl fmt::Display for TraceError {
                 write!(
                     f,
                     "message {message} carries different timestamps at its sender and receiver"
+                )
+            }
+            TraceError::DimensionMismatch {
+                message,
+                expected,
+                got,
+            } => {
+                write!(
+                    f,
+                    "message {message} is stamped with {got} components, the trace with {expected}"
                 )
             }
         }

@@ -9,7 +9,10 @@
 #   3. root-package tests (tier-1): lib + tests/ + doctests, incl. README
 #   4. full workspace tests, plus a gate that fails when
 #      `cargo test --workspace -- --list` names any test twice within one
-#      test binary (a test registered twice runs twice, racing itself)
+#      test binary (a test registered twice runs twice, racing itself),
+#      plus the perfbench package's own tests: it is a separate workspace
+#      over the same crates, so a public-API change that breaks the
+#      benchmark fails here rather than in the benchmark pipeline
 #   5. workspace doctests
 #   6. strict doc build: `cargo doc --no-deps` with rustdoc warnings as errors
 #   7. bench-smoke: the online_runtime suite at 1-iteration scale, checking
@@ -98,6 +101,7 @@ run cargo build --release
 run cargo build --release --workspace
 run cargo test -q
 run cargo test --workspace -q
+run cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # Every test must be registered once per test binary. A harness macro
 # that adds its own `#[test]` on top of the caller's runs each case twice,
 # and the twins race on shared fixtures (temp dirs, ports).

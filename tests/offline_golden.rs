@@ -32,8 +32,8 @@ fn fnv1a(stamps: &MessageTimestamps) -> u64 {
     };
     eat(stamps.len() as u64);
     eat(stamps.dim() as u64);
-    for v in stamps.vectors() {
-        for &x in v.as_slice() {
+    for v in stamps.vectors().iter() {
+        for &x in v {
             eat(x);
         }
     }

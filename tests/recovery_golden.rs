@@ -44,9 +44,9 @@ impl Fnv {
         }
     }
 
-    fn stamp(&mut self, v: &VectorTime) {
-        self.eat(v.as_slice().len() as u64);
-        for &x in v.as_slice() {
+    fn stamp(&mut self, v: &[u64]) {
+        self.eat(v.len() as u64);
+        for &x in v {
             self.eat(x);
         }
     }
@@ -137,13 +137,13 @@ fn hash_recovered(rec: &RecoveredTrace) -> u64 {
                     h.eat(0);
                     h.eat(*to as u64);
                     h.eat(*key);
-                    h.stamp(stamp);
+                    h.stamp(stamp.as_slice());
                 }
                 LogEntry::Received { from, key, stamp } => {
                     h.eat(1);
                     h.eat(*from as u64);
                     h.eat(*key);
-                    h.stamp(stamp);
+                    h.stamp(stamp.as_slice());
                 }
                 LogEntry::Internal => h.eat(2),
             }
@@ -169,7 +169,7 @@ fn hash_materialized(comp: &SyncComputation, stamps: &MessageTimestamps) -> u64 
     }
     h.eat(stamps.len() as u64);
     h.eat(stamps.dim() as u64);
-    for v in stamps.vectors() {
+    for v in stamps.vectors().iter() {
         h.stamp(v);
     }
     h.0
