@@ -29,9 +29,12 @@
 //!   counting global allocator: the record's `allocs` detail is the
 //!   number of heap allocations across thousands of pumped batches, and
 //!   the full-mode floor demands exactly zero.
-//! * `kernel` — the chunked 8-lane merge kernel behind every clock
-//!   backend, vectorized vs the black-box-per-element scalar loop at
-//!   d=256, reported as a speedup ratio.
+//! * `kernel` — the clock's merge paths at d=256: the chunked 8-lane
+//!   merge kernel against the black-box-per-element scalar loop
+//!   (`merge_d256`), and `VectorTime::merge_delta` of 4-wide
+//!   Singhal–Kshemkalyani change-sets against the full-vector `merge_max`
+//!   of the same stream (`delta_merge_d256`), each reported as a speedup
+//!   ratio; both delta-merge clocks must end equal.
 //! * `fabric` — a 4-shard catalog of 8 stamped traces served by the
 //!   fixed worker pool; closed-loop connections spread batched load
 //!   across every trace, reporting aggregate queries/sec across shards.
@@ -48,13 +51,14 @@
 //!
 //! `--smoke` shrinks the workloads for CI; `--validate PATH` checks an
 //! existing report (e.g. `results/BENCH_net.json`) against the
-//! `synctime/bench_net/v4` schema. The full run additionally enforces the
+//! `synctime/bench_net/v5` schema. The full run additionally enforces the
 //! acceptance floors: `query/precedes` above 10_000 queries/sec,
 //! `batch_256` at least 3x the single-connection single-query rate, the fabric at
 //! 500_000+ aggregate queries/sec with amortised p99 at or below 250us,
 //! the W=16 pipeline at least 1.5x the same run's `batch_256` rate, the
-//! vectorized merge kernel at least 1.3x scalar at d=256, and **zero**
-//! steady-state serving allocations.
+//! vectorized merge kernel at least 1.3x scalar at d=256, the delta merge
+//! at least 2x the full merge at d=256, and **zero** steady-state serving
+//! allocations. The delta-merge clocks must agree in every mode.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -67,7 +71,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::Value;
 use synctime_core::online::OnlineStamper;
-use synctime_core::{kernel, wire, MessageTimestamps};
+use synctime_core::{kernel, wire, MessageTimestamps, VectorTime};
 use synctime_graph::{decompose, topology, EdgeDecomposition, Graph};
 use synctime_net::{
     default_pool_size, encode_query_batch_into, pump_frames, serve_fabric, topology_hash_of,
@@ -77,7 +81,7 @@ use synctime_net::{
 use synctime_obs::{nearest_rank_percentile, RunStats};
 use synctime_runtime::{Behavior, Runtime};
 
-const SCHEMA: &str = "synctime/bench_net/v4";
+const SCHEMA: &str = "synctime/bench_net/v5";
 const QPS_FLOOR: f64 = 10_000.0;
 const BATCH_SPEEDUP_FLOOR: f64 = 3.0;
 const FABRIC_QPS_FLOOR: f64 = 500_000.0;
@@ -86,6 +90,12 @@ const FABRIC_P99_CEILING_NS: u64 = 250_000;
 const PIPELINE_SPEEDUP_FLOOR: f64 = 1.5;
 /// The 8-lane merge kernel must beat the black-box scalar loop at d=256.
 const KERNEL_SPEEDUP_FLOOR: f64 = 1.3;
+/// Components one rendezvous moves in the delta-merge workload — the
+/// Singhal–Kshemkalyani regime, where a frame carries a few changes.
+const DELTA_WIDTH: usize = 4;
+/// `merge_delta` of [`DELTA_WIDTH`]-wide change-sets must beat the
+/// full-vector `merge_max` of the same stream by this much at d=256.
+const DELTA_MERGE_FLOOR: f64 = 2.0;
 
 // ------------------------------------------------- counting allocator
 //
@@ -574,6 +584,80 @@ fn bench_kernel_merge(dimension: usize, iters: usize) -> Record {
     }
 }
 
+/// `VectorTime::merge_delta` of [`DELTA_WIDTH`]-wide change-sets against
+/// the full-vector `merge_max` of the same update stream, at dimension
+/// `dimension`. A sender's clock moves `DELTA_WIDTH` components per step
+/// (deterministic, no RNG); one receiver merges each step's full vector,
+/// another its change-set — what the runtime does with full and delta
+/// frames. Updates are built a chunk at a time outside the timed loops,
+/// and each path streams only its own input through the cache. The
+/// detail records both timings, the ratio, and whether the two clocks
+/// ended equal (FIFO delta merges must reproduce full merges exactly).
+fn bench_delta_merge(dimension: usize, steps: usize) -> Record {
+    use std::hint::black_box;
+    const CHUNK: usize = 1024;
+    let mut sender = vec![0u64; dimension];
+    let mut by_full = VectorTime::zero(dimension);
+    let mut by_delta = VectorTime::zero(dimension);
+    let (mut full_ns, mut delta_ns) = (0u64, 0u64);
+    let mut fulls: Vec<VectorTime> = Vec::with_capacity(CHUNK);
+    let mut deltas: Vec<(usize, u64)> = Vec::with_capacity(CHUNK * DELTA_WIDTH);
+    let mut step = 0;
+    while step < steps {
+        let to = (step + CHUNK).min(steps);
+        fulls.clear();
+        deltas.clear();
+        for s in step..to {
+            for j in 0..DELTA_WIDTH {
+                // Weyl-style mixing spreads the touched components over
+                // the whole vector.
+                let idx = s
+                    .wrapping_mul(2_654_435_761)
+                    .wrapping_add(j.wrapping_mul(40_503))
+                    % dimension;
+                sender[idx] += 1 + ((s + j) % 3) as u64;
+                deltas.push((idx, sender[idx]));
+            }
+            fulls.push(VectorTime::from(sender.clone()));
+        }
+        step = to;
+        let started = Instant::now();
+        for full in &fulls {
+            by_full
+                .merge_max(black_box(full))
+                .expect("bench vectors share the clock dimension");
+        }
+        full_ns += started.elapsed().as_nanos() as u64;
+        let started = Instant::now();
+        for delta in deltas.chunks_exact(DELTA_WIDTH) {
+            by_delta
+                .merge_delta(black_box(delta))
+                .expect("bench indices lie inside the clock");
+        }
+        delta_ns += started.elapsed().as_nanos() as u64;
+    }
+    let speedup = if delta_ns > 0 {
+        full_ns as f64 / delta_ns as f64
+    } else {
+        0.0
+    };
+    Record {
+        workload: "kernel",
+        variant: "delta_merge_d256",
+        processes: 1,
+        ops: steps as u64,
+        elapsed_ns: delta_ns as u128,
+        detail: obj(vec![
+            ("dimension", uint(dimension as u64)),
+            ("delta_width", uint(DELTA_WIDTH as u64)),
+            ("full_ns", uint(full_ns)),
+            ("delta_ns", uint(delta_ns)),
+            ("speedup_vs_full", float(speedup)),
+            ("clocks_equal", Value::Bool(by_full == by_delta)),
+        ]),
+    }
+}
+
 // -------------------------------------------------------- ring transport
 
 fn ring_behaviors(n: usize, rounds: u64) -> Vec<Behavior> {
@@ -736,10 +820,10 @@ fn run_suite(smoke: bool) -> Value {
         "query_batch",
         "batch_256",
     ));
-    let (pipe_chunks, pipe_calls, pumps, kernel_iters) = if smoke {
-        (8, 2, 64, 2_000)
+    let (pipe_chunks, pipe_calls, pumps, kernel_iters, delta_steps) = if smoke {
+        (8, 2, 64, 2_000, 4_000)
     } else {
-        (32, 24, 4_096, 400_000)
+        (32, 24, 4_096, 400_000, 400_000)
     };
     eprintln!(
         "net_query: pipelined windows (single connection, batch 256 x \
@@ -773,6 +857,10 @@ fn run_suite(smoke: bool) -> Value {
     records.push(bench_alloc_steady_state(pumps));
     eprintln!("net_query: merge kernel vs scalar (d=256, {kernel_iters} iters)");
     records.push(bench_kernel_merge(256, kernel_iters));
+    eprintln!(
+        "net_query: delta merge vs full merge (d=256, {delta_steps} {DELTA_WIDTH}-wide change-sets)"
+    );
+    records.push(bench_delta_merge(256, delta_steps));
     eprintln!("net_query: sharded fabric (4 shards x 8 traces, {connections} connections)");
     records.push(bench_batch(
         4,
@@ -811,6 +899,11 @@ fn run_suite(smoke: bool) -> Value {
             .and_then(as_f64)
             .unwrap_or(0.0)
     };
+    let delta_clocks_equal = records
+        .iter()
+        .find(|r| r.workload == "kernel" && r.variant == "delta_merge_d256")
+        .and_then(|r| r.detail.get_field("clocks_equal"))
+        == Some(&Value::Bool(true));
     let tcp_rate = rate("ring_transport", "tcp");
     let single = rate("query", "precedes_1conn");
     let batch256 = rate("query_batch", "batch_256");
@@ -867,6 +960,11 @@ fn run_suite(smoke: bool) -> Value {
                     "kernel_merge_speedup_d256",
                     float(detail_f64("kernel", "merge_d256", "speedup_vs_scalar")),
                 ),
+                (
+                    "delta_merge_speedup_d256",
+                    float(detail_f64("kernel", "delta_merge_d256", "speedup_vs_full")),
+                ),
+                ("delta_merge_clocks_equal", Value::Bool(delta_clocks_equal)),
                 ("fabric_aggregate_qps", float(rate("fabric", "shards_4"))),
                 (
                     "fabric_p99_ns",
@@ -889,7 +987,7 @@ fn run_suite(smoke: bool) -> Value {
 
 // ---------------------------------------------------------- validation
 
-/// Checks a report against the v4 schema. Returns every violation found.
+/// Checks a report against the v5 schema. Returns every violation found.
 fn validate_report(doc: &Value) -> Vec<String> {
     let mut errs = Vec::new();
     if doc.get_field("schema").and_then(Value::as_str) != Some(SCHEMA) {
@@ -915,6 +1013,7 @@ fn validate_report(doc: &Value) -> Vec<String> {
     let mut seen_pipeline = false;
     let mut seen_serve = false;
     let mut seen_kernel = false;
+    let mut seen_delta_merge = false;
     for (i, r) in records.iter().enumerate() {
         for key in ["workload", "variant"] {
             if r.get_field(key).and_then(Value::as_str).is_none() {
@@ -1018,8 +1117,31 @@ fn validate_report(doc: &Value) -> Vec<String> {
             }
             seen_serve = true;
         }
-        // The kernel record carries both raw timings and the ratio.
-        if workload == Some("kernel") {
+        // The kernel records carry both raw timings and the ratio.
+        let variant = r.get_field("variant").and_then(Value::as_str);
+        if workload == Some("kernel") && variant == Some("delta_merge_d256") {
+            for key in ["dimension", "delta_width", "full_ns", "delta_ns"] {
+                if r.get_field("detail")
+                    .and_then(|d| d.get_field(key))
+                    .and_then(as_u64)
+                    .is_none()
+                {
+                    errs.push(format!(
+                        "records[{i}].detail.{key} must be an unsigned integer"
+                    ));
+                }
+            }
+            if r.get_field("detail")
+                .and_then(|d| d.get_field("speedup_vs_full"))
+                .and_then(as_f64)
+                .is_none()
+            {
+                errs.push(format!(
+                    "records[{i}].detail.speedup_vs_full must be a number"
+                ));
+            }
+            seen_delta_merge = true;
+        } else if workload == Some("kernel") {
             for key in ["dimension", "scalar_ns", "vector_ns"] {
                 if r.get_field("detail")
                     .and_then(|d| d.get_field(key))
@@ -1063,6 +1185,9 @@ fn validate_report(doc: &Value) -> Vec<String> {
     if !seen_kernel {
         errs.push("report has no kernel record".to_string());
     }
+    if !seen_delta_merge {
+        errs.push("report has no kernel/delta_merge_d256 record".to_string());
+    }
     let derived = doc.get_field("derived");
     match derived {
         Some(Value::Object(_)) => {}
@@ -1080,6 +1205,7 @@ fn validate_report(doc: &Value) -> Vec<String> {
         "pipeline16_speedup_vs_batch256",
         "serve_steady_state_allocs",
         "kernel_merge_speedup_d256",
+        "delta_merge_speedup_d256",
         "fabric_aggregate_qps",
         "fabric_p99_ns",
         "bytes_per_query_single",
@@ -1097,6 +1223,15 @@ fn validate_report(doc: &Value) -> Vec<String> {
             "steady-state serving made {allocs:.0} heap allocations; the hot path must make 0"
         )),
         None => {}
+    }
+    // A delta merge that drifts from the full merge is a correctness bug,
+    // not a performance miss: it binds in every mode too.
+    if derived.and_then(|d| d.get_field("delta_merge_clocks_equal")) != Some(&Value::Bool(true)) {
+        errs.push(
+            "derived.delta_merge_clocks_equal must be true: merge_delta and merge_max \
+             must end on equal clocks"
+                .to_string(),
+        );
     }
     // The acceptance floors bind full runs only; smoke runs are a bit-rot
     // gate, not a performance claim.
@@ -1146,6 +1281,14 @@ fn validate_report(doc: &Value) -> Vec<String> {
                  {KERNEL_SPEEDUP_FLOOR:.1}x floor over the scalar loop at d=256"
             )),
             None => errs.push("full report has no kernel_merge_speedup_d256".to_string()),
+        }
+        match derived_f64("delta_merge_speedup_d256") {
+            Some(x) if x >= DELTA_MERGE_FLOOR => {}
+            Some(x) => errs.push(format!(
+                "full-mode delta-merge speedup {x:.2}x is below the \
+                 {DELTA_MERGE_FLOOR:.1}x floor over the full merge at d=256"
+            )),
+            None => errs.push("full report has no delta_merge_speedup_d256".to_string()),
         }
     }
     errs

@@ -27,6 +27,29 @@ fn help_and_errors() {
 }
 
 #[test]
+fn unknown_and_retired_flags_exit_nonzero() {
+    for (args, flag) in [
+        (
+            &["run", "--ring", "4", "--rounds", "1", "--bogus", "x"][..],
+            "bogus",
+        ),
+        (&["run", "--ring", "4", "--clock", "tree"][..], "clock"),
+        (
+            &["run", "--ring", "4", "--matcher", "polling"][..],
+            "matcher",
+        ),
+    ] {
+        let (stdout, stderr, ok) = synctime(args);
+        assert!(!ok, "{args:?} should fail");
+        assert!(stdout.is_empty(), "{args:?} printed {stdout}");
+        assert!(
+            stderr.contains(&format!("unknown flag --{flag} for `run`")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn decompose_pipeline() {
     let (stdout, _, ok) = synctime(&["decompose", "--topology", "clients:3x12", "--cover"]);
     assert!(ok, "{stdout}");

@@ -36,11 +36,11 @@
 //! dependencies with offline tracing), and [`wire`] (varint wire encodings
 //! including the Singhal–Kshemkalyani differential technique).
 //!
-//! The clock *representation* is pluggable: the [`clock`] module defines
-//! the [`Clock`] trait with three backends — [`DenseVec`] (a plain
-//! vector), [`TreeClock`] (sublinear delta merges), and [`FixedArray`]
-//! (fixed-lane fast path for small dimensions) — all producing identical
-//! stamps.
+//! Every clock is a [`VectorTime`]: the paper's plain `d`-component
+//! vector, merged and compared by the chunked lane loops of [`kernel`].
+//! On the wire, [`VectorTime::merge_delta`] applies a Singhal–Kshemkalyani
+//! change-set in `O(k)` for `k` changed components, so the runtime's
+//! rendezvous cost tracks what moved, not `d`.
 //!
 //! # Quickstart
 //!
@@ -72,7 +72,6 @@
 mod error;
 mod vector;
 
-pub mod clock;
 pub mod events;
 pub mod fm;
 pub mod fz;
@@ -83,6 +82,5 @@ pub mod online;
 pub mod plausible;
 pub mod wire;
 
-pub use clock::{Clock, ClockBackend, DenseVec, FixedArray, FixedArray16, TreeClock};
 pub use error::CoreError;
 pub use vector::{MessageTimestamps, Rows, StampRow, VectorOrder, VectorTime};

@@ -15,8 +15,7 @@ use synctime_par::ThreadPool;
 use synctime_poset::{realizer, Poset, SparsePoset};
 use synctime_trace::{stream, Oracle, SyncComputation};
 
-use crate::clock::Clock;
-use crate::{CoreError, MessageTimestamps};
+use crate::MessageTimestamps;
 
 /// Offline-stamps all messages of a completed computation.
 ///
@@ -84,61 +83,6 @@ pub fn stamp_poset(poset: &Poset) -> MessageTimestamps {
 /// ```
 pub fn stamp_computation_sparse(computation: &SyncComputation) -> MessageTimestamps {
     stamp_sparse_poset(&stream::sparse_message_poset(computation))
-}
-
-/// [`stamp_computation`] with the vectors carried by clock backend `C`.
-///
-/// The dense engine computes each stamp as before; every vector is then
-/// pushed through `C`'s delta-merge path and read back, so the backend's
-/// arithmetic — not just [`VectorTime`](crate::VectorTime)'s — is
-/// exercised end to end. The output is bit-identical to
-/// [`stamp_computation`] for every backend.
-///
-/// # Errors
-///
-/// [`CoreError::DimensionUnsupported`] when the backend cannot hold the
-/// poset's width (e.g. a fixed-lane backend on a wide poset).
-pub fn stamp_computation_as<C: Clock>(
-    computation: &SyncComputation,
-) -> Result<MessageTimestamps, CoreError> {
-    reemit_through_backend::<C>(stamp_computation(computation))
-}
-
-/// [`stamp_computation_sparse`] with the vectors carried by clock backend
-/// `C`; see [`stamp_computation_as`].
-///
-/// # Errors
-///
-/// [`CoreError::DimensionUnsupported`] when the backend cannot hold one
-/// component per sending process.
-pub fn stamp_computation_sparse_as<C: Clock>(
-    computation: &SyncComputation,
-) -> Result<MessageTimestamps, CoreError> {
-    reemit_through_backend::<C>(stamp_computation_sparse(computation))
-}
-
-/// Re-emits every stamp through backend `C`: zero clock, delta-merge of the
-/// nonzero components, read back as a dense vector.
-fn reemit_through_backend<C: Clock>(
-    stamps: MessageTimestamps,
-) -> Result<MessageTimestamps, CoreError> {
-    let dim = stamps.dim();
-    let mut table = vec![0u64; stamps.len() * dim];
-    let zero = C::try_zero(dim)?;
-    let mut changes: Vec<(usize, u64)> = Vec::with_capacity(dim);
-    for (m, row) in stamps.vectors().iter().enumerate() {
-        let mut clock = zero.clone();
-        changes.clear();
-        changes.extend(
-            row.iter()
-                .enumerate()
-                .filter(|(_, &x)| x != 0)
-                .map(|(i, &x)| (i, x)),
-        );
-        clock.merge_delta(&changes)?;
-        clock.write_row(&mut table[m * dim..][..dim]);
-    }
-    Ok(MessageTimestamps::from_table(stamps.len(), dim, table))
 }
 
 /// [`stamp_computation_sparse`] given a worker pool. The output is
@@ -307,34 +251,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn backend_reemission_is_bit_identical() {
-        use crate::clock::{FixedArray16, TreeClock};
-        let comp = figure6();
-        let dense = stamp_computation(&comp);
-        assert_eq!(stamp_computation_as::<TreeClock>(&comp).unwrap(), dense);
-        assert_eq!(stamp_computation_as::<FixedArray16>(&comp).unwrap(), dense);
-        let sparse = stamp_computation_sparse(&comp);
-        assert_eq!(
-            stamp_computation_sparse_as::<TreeClock>(&comp).unwrap(),
-            sparse
-        );
-        assert_eq!(
-            stamp_computation_sparse_as::<FixedArray16>(&comp).unwrap(),
-            sparse
-        );
-    }
-
-    #[test]
-    fn backend_reemission_reports_unsupported_width() {
-        use crate::clock::FixedArray;
-        let comp = figure6(); // width 2 > 1 lane
-        assert!(matches!(
-            stamp_computation_as::<FixedArray<1>>(&comp),
-            Err(CoreError::DimensionUnsupported { .. })
-        ));
     }
 
     #[test]

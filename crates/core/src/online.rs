@@ -13,28 +13,20 @@
 //! Both sides end with the identical vector, which *is* the message's
 //! timestamp. Theorem 4 shows `m1 ↦ m2 ⟺ v(m1) < v(m2)`.
 //!
-//! The protocol is generic over the clock representation (the
-//! [`Clock`] trait): [`GenericProcessClock`] and [`GenericOnlineSession`]
-//! run the very same Figure 5 steps on any backend, and the aliases
-//! [`ProcessClock`] / [`OnlineSession`] pin the default dense vector.
-//!
 //! Two entry points:
 //!
 //! * [`ProcessClock`] — one endpoint of the protocol, message by message;
 //!   this is what a real runtime (see `synctime-runtime`) embeds, with the
 //!   vectors physically piggybacked on program messages and acks.
 //! * [`OnlineStamper`] — stamps a whole recorded [`SyncComputation`] in
-//!   rendezvous order. [`stamp_computation_as`] is the backend-generic
-//!   equivalent.
+//!   rendezvous order, through an [`OnlineSession`].
 
 use synctime_graph::{Edge, EdgeDecomposition, GroupRemap};
 use synctime_trace::SyncComputation;
 
-use crate::clock::{Clock, DenseVec};
 use crate::{CoreError, MessageTimestamps, VectorTime};
 
-/// One process's local clock and its half of the Figure 5 protocol,
-/// generic over the [`Clock`] backend.
+/// One process's local clock and its half of the Figure 5 protocol.
 ///
 /// ```
 /// use synctime_core::online::ProcessClock;
@@ -49,60 +41,33 @@ use crate::{CoreError, MessageTimestamps, VectorTime};
 /// # Ok::<(), synctime_core::CoreError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GenericProcessClock<C: Clock> {
-    vector: C,
+pub struct ProcessClock {
+    vector: VectorTime,
 }
 
-/// The default dense-vector process clock (see [`GenericProcessClock`]).
-pub type ProcessClock = GenericProcessClock<DenseVec>;
-
-impl<C: Clock> From<C> for GenericProcessClock<C> {
-    /// Wraps an existing clock value as a process clock — infallible entry
-    /// point for callers that already hold a validated clock.
-    fn from(vector: C) -> Self {
-        GenericProcessClock { vector }
+impl From<VectorTime> for ProcessClock {
+    /// Starts a process clock from an existing vector — the uniform
+    /// baseline a reconfigured epoch resumes from.
+    fn from(vector: VectorTime) -> Self {
+        ProcessClock { vector }
     }
 }
 
-impl<C: Clock> GenericProcessClock<C> {
+impl ProcessClock {
     /// A fresh clock of dimension `dim`, initially all zeros.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::DimensionUnsupported`] when the backend cannot hold
-    /// `dim` components.
-    pub fn try_new(dim: usize) -> Result<Self, CoreError> {
-        Ok(GenericProcessClock {
-            vector: C::try_zero(dim)?,
-        })
-    }
-
-    /// A fresh clock of dimension `dim`, initially all zeros.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the backend cannot hold `dim` components (see
-    /// [`GenericProcessClock::try_new`] for the fallible form). The
-    /// default dense backend supports every dimension.
     pub fn new(dim: usize) -> Self {
-        match Self::try_new(dim) {
-            Ok(clock) => clock,
-            Err(e) => panic!("{e}"),
+        ProcessClock {
+            vector: VectorTime::zero(dim),
         }
     }
 
     /// The current local clock.
-    pub fn current(&self) -> &C {
+    pub fn current(&self) -> &VectorTime {
         &self.vector
     }
 
-    /// The current local clock in dense interchange form.
-    pub fn current_vector(&self) -> VectorTime {
-        self.vector.to_vector()
-    }
-
     /// The clock to piggyback on an outgoing message (line 02).
-    pub fn send_payload(&self) -> C {
+    pub fn send_payload(&self) -> VectorTime {
         self.vector.clone()
     }
 
@@ -114,11 +79,12 @@ impl<C: Clock> GenericProcessClock<C> {
     ///
     /// [`CoreError::DimensionMismatch`] if the payload dimension differs
     /// from this clock's; the clock is left unchanged.
-    pub fn on_receive(&mut self, payload: &C, group: usize) -> Result<(C, C), CoreError> {
-        let ack = self.vector.clone();
-        self.vector.try_merge_max(payload)?;
-        self.vector.increment(group);
-        Ok((ack, self.vector.clone()))
+    pub fn on_receive(
+        &mut self,
+        payload: &VectorTime,
+        group: usize,
+    ) -> Result<(VectorTime, VectorTime), CoreError> {
+        self.on_receive_frame(payload, None, group)
     }
 
     /// Handles the acknowledgement of a message this process sent over a
@@ -129,58 +95,66 @@ impl<C: Clock> GenericProcessClock<C> {
     ///
     /// [`CoreError::DimensionMismatch`] if the acknowledgement dimension
     /// differs from this clock's; the clock is left unchanged.
-    pub fn on_acknowledgement(&mut self, ack: &C, group: usize) -> Result<C, CoreError> {
-        self.vector.try_merge_max(ack)?;
-        self.vector.increment(group);
-        Ok(self.vector.clone())
+    pub fn on_acknowledgement(
+        &mut self,
+        ack: &VectorTime,
+        group: usize,
+    ) -> Result<VectorTime, CoreError> {
+        self.on_acknowledgement_frame(ack, None, group)
     }
 
-    /// Wire-facing [`GenericProcessClock::on_receive`]: the payload
-    /// arrives in dense interchange form, optionally accompanied by the
-    /// Singhal–Kshemkalyani change-set the stream decoder recovered. With
-    /// a change-set the merge is delta-driven — sublinear for backends
-    /// like [`crate::clock::TreeClock`] — sound because every earlier
-    /// frame of a FIFO stream was already merged into this clock.
+    /// Wire-facing [`ProcessClock::on_receive`]: the payload as decoded
+    /// from a delta stream, with the Singhal–Kshemkalyani change-set the
+    /// decoder recovered when the frame was a delta. With a change-set the
+    /// merge is [`VectorTime::merge_delta`] — `O(k)` in the components
+    /// that moved — sound because every earlier frame of the FIFO stream
+    /// was already merged into this clock; without one (a stream's opening
+    /// or resync frame) it is the full [`VectorTime::merge_max`].
     ///
     /// # Errors
     ///
-    /// [`CoreError::DimensionMismatch`] as for
-    /// [`GenericProcessClock::on_receive`].
-    pub fn on_receive_interchange(
+    /// [`CoreError::DimensionMismatch`] as for [`ProcessClock::on_receive`],
+    /// or when a change-set index is out of range.
+    pub fn on_receive_frame(
         &mut self,
         payload: &VectorTime,
         changes: Option<&[(usize, u64)]>,
         group: usize,
     ) -> Result<(VectorTime, VectorTime), CoreError> {
-        let ack = self.vector.to_vector();
-        match changes {
-            Some(changes) => self.vector.merge_delta(changes)?,
-            None => self.vector.merge_from_vector(payload)?,
-        }
+        let ack = self.vector.clone();
+        self.merge_frame(payload, changes)?;
         self.vector.increment(group);
-        Ok((ack, self.vector.to_vector()))
+        Ok((ack, self.vector.clone()))
     }
 
-    /// Wire-facing [`GenericProcessClock::on_acknowledgement`]; see
-    /// [`GenericProcessClock::on_receive_interchange`] for the change-set
-    /// contract.
+    /// Wire-facing [`ProcessClock::on_acknowledgement`]; see
+    /// [`ProcessClock::on_receive_frame`] for the change-set contract.
     ///
     /// # Errors
     ///
-    /// [`CoreError::DimensionMismatch`] as for
-    /// [`GenericProcessClock::on_acknowledgement`].
-    pub fn on_acknowledgement_interchange(
+    /// As for [`ProcessClock::on_receive_frame`].
+    pub fn on_acknowledgement_frame(
         &mut self,
         ack: &VectorTime,
         changes: Option<&[(usize, u64)]>,
         group: usize,
     ) -> Result<VectorTime, CoreError> {
-        match changes {
-            Some(changes) => self.vector.merge_delta(changes)?,
-            None => self.vector.merge_from_vector(ack)?,
-        }
+        self.merge_frame(ack, changes)?;
         self.vector.increment(group);
-        Ok(self.vector.to_vector())
+        Ok(self.vector.clone())
+    }
+
+    /// Delta merge when a change-set came with the frame, full merge
+    /// otherwise.
+    fn merge_frame(
+        &mut self,
+        vector: &VectorTime,
+        changes: Option<&[(usize, u64)]>,
+    ) -> Result<(), CoreError> {
+        match changes {
+            Some(changes) => self.vector.merge_delta(changes),
+            None => self.vector.merge_max(vector),
+        }
     }
 
     /// Rebases this clock after the edge decomposition was edited in place
@@ -201,8 +175,7 @@ impl<C: Clock> GenericProcessClock<C> {
     /// # Errors
     ///
     /// [`CoreError::DimensionMismatch`] if the remap's domain differs from
-    /// this clock's dimension, or [`CoreError::DimensionUnsupported`] if
-    /// the backend cannot hold the new dimension.
+    /// this clock's dimension.
     pub fn remap(&mut self, remap: &GroupRemap) -> Result<(), CoreError> {
         if remap.old_to_new.len() != self.vector.dim() {
             return Err(CoreError::DimensionMismatch {
@@ -216,7 +189,7 @@ impl<C: Clock> GenericProcessClock<C> {
                 fresh[*new] = self.vector.component(old);
             }
         }
-        self.vector = C::from_vector(&VectorTime::from(fresh))?;
+        self.vector = VectorTime::from(fresh);
         Ok(())
     }
 }
@@ -257,40 +230,19 @@ impl OnlineStamper {
         &self,
         computation: &SyncComputation,
     ) -> Result<MessageTimestamps, CoreError> {
-        stamp_computation_as::<DenseVec>(&self.decomposition, computation)
+        let mut session = OnlineSession::new(&self.decomposition, computation.process_count());
+        let (len, dim) = (computation.message_count(), self.dim());
+        let mut table = vec![0u64; len * dim];
+        for (i, m) in computation.messages().iter().enumerate() {
+            session.stamp_into(m.sender, m.receiver, &mut table[i * dim..][..dim])?;
+        }
+        Ok(MessageTimestamps::from_table(len, dim, table))
     }
-}
-
-/// Runs the Figure 5 protocol over `computation` with clock backend `C`
-/// and returns the per-message timestamps in dense interchange form.
-///
-/// Every backend produces the same stamps — the protocol is deterministic
-/// component arithmetic — which is what the cross-backend differential
-/// battery checks end to end.
-///
-/// # Errors
-///
-/// [`CoreError::ChannelNotInDecomposition`] if a message uses a channel
-/// outside the decomposition; [`CoreError::DimensionUnsupported`] if the
-/// backend cannot hold the decomposition's dimension.
-pub fn stamp_computation_as<C: Clock>(
-    decomposition: &EdgeDecomposition,
-    computation: &SyncComputation,
-) -> Result<MessageTimestamps, CoreError> {
-    let mut session =
-        GenericOnlineSession::<C>::try_new(decomposition, computation.process_count())?;
-    let (len, dim) = (computation.message_count(), decomposition.len());
-    let mut table = vec![0u64; len * dim];
-    for (i, m) in computation.messages().iter().enumerate() {
-        session.stamp_into(m.sender, m.receiver, &mut table[i * dim..][..dim])?;
-    }
-    Ok(MessageTimestamps::from_table(len, dim, table))
 }
 
 /// An incremental stamping session: the clocks of all `n` processes, fed
-/// one rendezvous at a time, generic over the [`Clock`] backend.
-/// [`OnlineStamper::stamp_computation`] is a convenience wrapper around
-/// the dense alias [`OnlineSession`].
+/// one rendezvous at a time. [`OnlineStamper::stamp_computation`] is a
+/// convenience wrapper around it.
 ///
 /// ```
 /// use synctime_core::online::OnlineSession;
@@ -305,45 +257,19 @@ pub fn stamp_computation_as<C: Clock>(
 /// # Ok::<(), synctime_core::CoreError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct GenericOnlineSession<C: Clock> {
+pub struct OnlineSession {
     decomposition: EdgeDecomposition,
-    clocks: Vec<GenericProcessClock<C>>,
+    clocks: Vec<ProcessClock>,
     stamped: usize,
 }
 
-/// The default dense-vector session (see [`GenericOnlineSession`]).
-pub type OnlineSession = GenericOnlineSession<DenseVec>;
-
-impl<C: Clock> GenericOnlineSession<C> {
+impl OnlineSession {
     /// Starts a session for `process_count` processes.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::DimensionUnsupported`] when the backend cannot hold
-    /// the decomposition's dimension.
-    pub fn try_new(
-        decomposition: &EdgeDecomposition,
-        process_count: usize,
-    ) -> Result<Self, CoreError> {
-        let clock = GenericProcessClock::<C>::try_new(decomposition.len())?;
-        Ok(GenericOnlineSession {
-            decomposition: decomposition.clone(),
-            clocks: vec![clock; process_count],
-            stamped: 0,
-        })
-    }
-
-    /// Starts a session for `process_count` processes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the backend cannot hold the decomposition's dimension
-    /// (see [`GenericOnlineSession::try_new`]); the default dense backend
-    /// supports every dimension.
     pub fn new(decomposition: &EdgeDecomposition, process_count: usize) -> Self {
-        match Self::try_new(decomposition, process_count) {
-            Ok(session) => session,
-            Err(e) => panic!("{e}"),
+        OnlineSession {
+            decomposition: decomposition.clone(),
+            clocks: vec![ProcessClock::new(decomposition.len()); process_count],
+            stamped: 0,
         }
     }
 
@@ -357,7 +283,7 @@ impl<C: Clock> GenericOnlineSession<C> {
     /// # Errors
     ///
     /// Returns [`CoreError::ProcessOutOfRange`] for a bad id.
-    pub fn clock(&self, process: usize) -> Result<&GenericProcessClock<C>, CoreError> {
+    pub fn clock(&self, process: usize) -> Result<&ProcessClock, CoreError> {
         self.clocks
             .get(process)
             .ok_or(CoreError::ProcessOutOfRange {
@@ -374,9 +300,8 @@ impl<C: Clock> GenericOnlineSession<C> {
     ///
     /// [`EdgeDecomposition::extend_star`]: synctime_graph::EdgeDecomposition::extend_star
     pub fn add_process(&mut self) -> usize {
-        let clock = GenericProcessClock::<C>::try_new(self.decomposition.len())
-            .expect("session dimension was validated at construction");
-        self.clocks.push(clock);
+        self.clocks
+            .push(ProcessClock::new(self.decomposition.len()));
         self.clocks.len() - 1
     }
 
@@ -399,20 +324,19 @@ impl<C: Clock> GenericOnlineSession<C> {
     /// Switches the session to a reconfigured decomposition whose group ids
     /// shifted per `remap` (as reported by
     /// [`synctime_graph::IncrementalDecomposition`]'s edits), rebasing every
-    /// process clock with [`GenericProcessClock::remap`].
+    /// process clock with [`ProcessClock::remap`].
     ///
     /// After this call the session stamps against `decomposition`;
     /// timestamps issued before the call are comparable with later ones only
     /// if the remap [is the identity](GroupRemap::is_identity) (see
-    /// [`GenericProcessClock::remap`] for why later stamps remain mutually
+    /// [`ProcessClock::remap`] for why later stamps remain mutually
     /// sound).
     ///
     /// # Errors
     ///
     /// [`CoreError::DimensionMismatch`] if the remap's domain is not the
     /// session's current dimension or its codomain is not the new
-    /// decomposition's size; [`CoreError::DimensionUnsupported`] if the
-    /// backend cannot hold the new dimension.
+    /// decomposition's size.
     pub fn reconfigure(
         &mut self,
         decomposition: &EdgeDecomposition,
@@ -438,8 +362,7 @@ impl<C: Clock> GenericOnlineSession<C> {
     }
 
     /// Performs one rendezvous (message + acknowledgement) between
-    /// `sender` and `receiver` and returns the message's timestamp in
-    /// dense interchange form.
+    /// `sender` and `receiver` and returns the message's timestamp.
     ///
     /// # Errors
     ///
@@ -447,7 +370,7 @@ impl<C: Clock> GenericOnlineSession<C> {
     /// edge is in no group, or [`CoreError::ProcessOutOfRange`] for bad
     /// process ids.
     pub fn stamp(&mut self, sender: usize, receiver: usize) -> Result<VectorTime, CoreError> {
-        Ok(self.rendezvous(sender, receiver)?.to_vector())
+        self.rendezvous(sender, receiver)
     }
 
     /// [`stamp`](Self::stamp) writing the timestamp into `row`, one row of
@@ -466,12 +389,12 @@ impl<C: Clock> GenericOnlineSession<C> {
         receiver: usize,
         row: &mut [u64],
     ) -> Result<(), CoreError> {
-        self.rendezvous(sender, receiver)?.write_row(row);
+        row.copy_from_slice(self.rendezvous(sender, receiver)?.as_slice());
         Ok(())
     }
 
     /// One rendezvous; returns the sender's clock, which is the stamp.
-    fn rendezvous(&mut self, sender: usize, receiver: usize) -> Result<C, CoreError> {
+    fn rendezvous(&mut self, sender: usize, receiver: usize) -> Result<VectorTime, CoreError> {
         for &p in &[sender, receiver] {
             if p >= self.clocks.len() {
                 return Err(CoreError::ProcessOutOfRange {
@@ -512,7 +435,6 @@ pub fn stamp_with_topology(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{FixedArray16, TreeClock};
     use synctime_graph::{decompose, topology};
     use synctime_trace::examples::{figure6, figure6_decomposition};
     use synctime_trace::{Builder, MessageId, Oracle};
@@ -545,15 +467,6 @@ mod tests {
         }
         // And the timestamps encode the poset (Theorem 4).
         assert!(stamps.encodes(&Oracle::new(&comp)));
-        // Every backend reproduces the walkthrough bit for bit.
-        for stamps in [
-            stamp_computation_as::<TreeClock>(&dec, &comp).unwrap(),
-            stamp_computation_as::<FixedArray16>(&dec, &comp).unwrap(),
-        ] {
-            for (i, exp) in expected.iter().enumerate() {
-                assert_eq!(stamps.vector(MessageId(i)).as_slice(), exp.as_slice());
-            }
-        }
     }
 
     #[test]
@@ -579,28 +492,30 @@ mod tests {
     }
 
     #[test]
-    fn interchange_paths_match_native_protocol() {
-        // The wire-facing delta path and the native path produce the same
-        // stamps on every backend.
-        let mut native = GenericProcessClock::<TreeClock>::try_new(4).unwrap();
-        let mut wire = GenericProcessClock::<TreeClock>::try_new(4).unwrap();
+    fn frame_paths_match_native_protocol() {
+        // The wire-facing delta path and the full-merge path produce the
+        // same acks and stamps.
+        let mut native = ProcessClock::new(4);
+        let mut wire = ProcessClock::new(4);
         let payload = VectorTime::from(vec![2, 0, 1, 0]);
-        let (ack_n, stamp_n) = native
-            .on_receive(&TreeClock::from_vector(&payload).unwrap(), 1)
-            .unwrap();
+        let (ack_n, stamp_n) = native.on_receive(&payload, 1).unwrap();
         // The change-set names exactly the nonzero components.
         let (ack_w, stamp_w) = wire
-            .on_receive_interchange(&payload, Some(&[(0, 2), (2, 1)]), 1)
+            .on_receive_frame(&payload, Some(&[(0, 2), (2, 1)]), 1)
             .unwrap();
-        assert_eq!(ack_n.to_vector(), ack_w);
-        assert_eq!(stamp_n.to_vector(), stamp_w);
-        let t_n = native
-            .on_acknowledgement(&TreeClock::from_vector(&payload).unwrap(), 0)
-            .unwrap();
-        let t_w = wire
-            .on_acknowledgement_interchange(&payload, None, 0)
-            .unwrap();
-        assert_eq!(t_n.to_vector(), t_w);
+        assert_eq!(ack_n, ack_w);
+        assert_eq!(stamp_n, stamp_w);
+        let t_n = native.on_acknowledgement(&payload, 0).unwrap();
+        let t_w = wire.on_acknowledgement_frame(&payload, None, 0).unwrap();
+        assert_eq!(t_n, t_w);
+        // An out-of-range change-set index is refused, typed.
+        assert_eq!(
+            wire.on_acknowledgement_frame(&payload, Some(&[(4, 1)]), 0),
+            Err(CoreError::DimensionMismatch {
+                expected: 4,
+                got: 5
+            })
+        );
     }
 
     #[test]
@@ -663,16 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_backend_session_rejects_wide_decompositions() {
-        // complete:20 decomposes to d = 18 > 16 lanes: typed error, no
-        // truncation.
-        let dec = decompose::best_known(&topology::complete(20));
-        assert!(dec.len() > 16);
-        let err = GenericOnlineSession::<FixedArray16>::try_new(&dec, 20).unwrap_err();
-        assert!(matches!(err, CoreError::DimensionUnsupported { .. }));
-    }
-
-    #[test]
     fn incremental_session_matches_batch() {
         let topo = topology::complete(4);
         let dec = decompose::best_known(&topo);
@@ -684,11 +589,9 @@ mod tests {
         let comp = b.build();
         let batch = OnlineStamper::new(&dec).stamp_computation(&comp).unwrap();
         let mut session = OnlineSession::new(&dec, 4);
-        let mut tree = GenericOnlineSession::<TreeClock>::try_new(&dec, 4).unwrap();
         for (i, (s, r)) in pairs.iter().enumerate() {
             let t = session.stamp(*s, *r).unwrap();
             assert_eq!(batch.vector(MessageId(i)), t);
-            assert_eq!(tree.stamp(*s, *r).unwrap(), t);
         }
         assert_eq!(session.stamped(), pairs.len());
     }

@@ -63,14 +63,6 @@ impl VectorTime {
         &self.components
     }
 
-    /// The components as a mutable slice — for the in-crate [`Clock`]
-    /// backend implementation only.
-    ///
-    /// [`Clock`]: crate::clock::Clock
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [u64] {
-        &mut self.components
-    }
-
     /// One component.
     ///
     /// # Panics
@@ -96,6 +88,35 @@ impl VectorTime {
             });
         }
         kernel::merge_max_lanes(&mut self.components, &other.components);
+        Ok(())
+    }
+
+    /// Merges a Singhal–Kshemkalyani change-set: for every `(idx, value)`
+    /// pair, `self[idx] := max(self[idx], value)` — `O(k)` for `k` changed
+    /// components instead of the full merge's `O(d)`. Equivalent to
+    /// [`VectorTime::merge_max`] with the sending vector whenever the
+    /// unchanged components were already merged on an earlier frame of the
+    /// same FIFO stream, which is exactly what
+    /// [`StreamDecoder::decode_sparse`](crate::wire::StreamDecoder::decode_sparse)
+    /// guarantees for the change-sets it reports.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::DimensionMismatch`] when an index is out of range
+    /// (`got` is the dimension the index implies); entries before the
+    /// offending one may already be applied, so callers treat the error as
+    /// terminal for the stream, exactly like a failed full merge.
+    pub fn merge_delta(&mut self, changes: &[(usize, u64)]) -> Result<(), CoreError> {
+        let dim = self.dim();
+        for &(idx, value) in changes {
+            let Some(c) = self.components.get_mut(idx) else {
+                return Err(CoreError::DimensionMismatch {
+                    expected: dim,
+                    got: idx + 1,
+                });
+            };
+            *c = (*c).max(value);
+        }
         Ok(())
     }
 
@@ -430,6 +451,68 @@ mod tests {
         );
         // The failed merge left the vector untouched.
         assert_eq!(a.as_slice(), &[7, 7]);
+    }
+
+    #[test]
+    fn merge_delta_equals_merge_max_on_random_streams() {
+        use crate::wire::{StreamDecoder, StreamEncoder};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        // A sender's clock only grows; every frame of its FIFO stream is
+        // merged into the receiver, once by the decoded change-set and once
+        // by the full vector. The receiver also moves on its own between
+        // frames, as it does between rendezvous.
+        for dim in [1usize, 7, 8, 9, 256] {
+            let mut rng = StdRng::seed_from_u64(dim as u64);
+            let (mut enc, mut dec) = (StreamEncoder::new(), StreamDecoder::new());
+            let mut sender = VectorTime::zero(dim);
+            let mut by_delta = VectorTime::zero(dim);
+            let mut by_full = VectorTime::zero(dim);
+            let mut deltas = 0;
+            for frame in 0..200 {
+                for _ in 0..rng.gen_range(0..4) {
+                    sender.increment(rng.gen_range(0..dim));
+                }
+                if rng.gen_bool(0.3) {
+                    let idx = rng.gen_range(0..dim);
+                    by_delta.increment(idx);
+                    by_full.increment(idx);
+                }
+                if frame % 50 == 49 {
+                    enc.force_full(1);
+                }
+                let bytes = enc.encode(1, &sender);
+                let (decoded, changes) = dec.decode_sparse(0, &bytes).unwrap();
+                assert_eq!(decoded, sender, "d = {dim}, frame {frame}");
+                match changes {
+                    Some(changes) => {
+                        deltas += 1;
+                        by_delta.merge_delta(&changes).unwrap();
+                    }
+                    None => by_delta.merge_max(&decoded).unwrap(),
+                }
+                by_full.merge_max(&decoded).unwrap();
+                assert_eq!(by_delta, by_full, "d = {dim}, frame {frame}");
+            }
+            assert!(deltas > 100, "d = {dim}: only {deltas} delta frames");
+        }
+    }
+
+    #[test]
+    fn merge_delta_rejects_out_of_range_index() {
+        let mut a = VectorTime::from(vec![1, 2, 3]);
+        a.merge_delta(&[(0, 4), (2, 1)]).unwrap();
+        assert_eq!(a.as_slice(), &[4, 2, 3]);
+        assert_eq!(
+            a.merge_delta(&[(3, 9)]),
+            Err(CoreError::DimensionMismatch {
+                expected: 3,
+                got: 4
+            })
+        );
+        assert_eq!(a.as_slice(), &[4, 2, 3]);
+        a.merge_delta(&[]).unwrap();
+        assert!(VectorTime::zero(0).merge_delta(&[(0, 1)]).is_err());
     }
 
     #[test]

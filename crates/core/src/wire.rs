@@ -10,6 +10,10 @@
 //!   Singhal–Kshemkalyani: send only the `(index, value)` pairs that
 //!   changed since the last transmission *to that destination*, at the
 //!   cost of each process remembering what it last sent on each channel.
+//!   [`StreamDecoder::decode_sparse`] hands the receiver that same
+//!   change-set, which [`VectorTime::merge_delta`] applies in `O(k)` — the
+//!   runtime merges delta frames that way and full frames with
+//!   [`VectorTime::merge_max`].
 //!
 //! The `table_wire_bytes` experiment combines these with the dimension
 //! reductions: `d`-dimensional deltas are the smallest of all.
@@ -209,9 +213,8 @@ pub fn store_meta_record_bytes(version: u64, process_count: u64, generation: u64
 /// On-disk cost of a store SENT/RECEIVED record: record header + 1-byte
 /// tag + varints for the logging process, its log position, the peer
 /// process, and the message key — then the encoded stamp *last* (it is the
-/// variable-width remainder of the payload, exactly the bytes the clock
-/// seam `Clock::encode_wire` / [`encode_full`] produces, so any clock
-/// backend round-trips byte-identically).
+/// variable-width remainder of the payload, exactly the bytes
+/// [`encode_full`] produces).
 pub fn store_stamp_record_bytes(
     process: u64,
     pseq: u64,
@@ -504,9 +507,9 @@ impl StreamDecoder {
     /// Singhal–Kshemkalyani change-set when the frame was a delta: the
     /// `(index, value)` pairs that moved since the previous frame of this
     /// stream. `None` means the frame carried a full vector (stream
-    /// opening or resync) and no change-set exists. Sparse-merge clock
-    /// backends feed the pairs straight into their delta path instead of
-    /// re-scanning the reconstructed vector.
+    /// opening or resync) and no change-set exists. The runtime feeds the
+    /// pairs straight into [`VectorTime::merge_delta`] instead of merging
+    /// the whole reconstructed vector.
     ///
     /// # Errors
     ///

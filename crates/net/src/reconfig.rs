@@ -272,7 +272,7 @@ pub(crate) fn decode_reconfig_ack(body: &[u8]) -> Result<ReconfigAckFrame, NetEr
 
 /// Rebases a plain vector through a remap: surviving components carry
 /// their counts to their new slots, fresh components start at zero. The
-/// vector form of `GenericProcessClock::remap`.
+/// vector form of `ProcessClock::remap`.
 pub fn remap_vector(v: &VectorTime, remap: &GroupRemap) -> VectorTime {
     let mut fresh = vec![0u64; remap.new_len];
     for (old, slot) in remap.old_to_new.iter().enumerate() {

@@ -227,89 +227,6 @@ proptest! {
     }
 }
 
-prop_compose! {
-    fn arb_raw_query()(kind in 0u8..4, m1 in any::<u32>(), m2 in any::<u32>())
-        -> (u8, u32, u32) {
-        (kind, m1, m2)
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The wire answers are invariant under the clock backend that stamped
-    /// the underlying trace: for any query batch (valid ids, out-of-range
-    /// ids, and unknown kinds alike), the answer bodies and the ANSWER3
-    /// frame built from `TreeClock`- or `FixedArray`-stamped vectors are
-    /// byte-identical to the dense ones.
-    #[test]
-    fn answer_bodies_invariant_under_clock_backend(
-        n in 4usize..8,
-        extra in 0usize..4,
-        msgs in 2usize..30,
-        seed in 0u64..5000,
-        raw in collection::vec(arb_raw_query(), 1..16),
-    ) {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use synctime_core::clock::{ClockBackend, FixedArray16, TreeClock};
-        use synctime_core::online::{stamp_computation_as, OnlineStamper};
-        use synctime_core::MessageTimestamps;
-        use synctime_graph::{decompose, topology};
-        use synctime_net::answer_query_into;
-        use synctime_sim::workload::RandomWorkload;
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let topo = topology::random_connected(n, extra, &mut rng);
-        let comp = RandomWorkload::messages(msgs).generate(&topo, &mut rng);
-        let dec = decompose::best_known(&topo);
-
-        // Mix of in-range and out-of-range ids: error entries must be
-        // invariant too.
-        let bound = comp.message_count() as u32 + 2;
-        let queries: Vec<BatchQuery> = raw
-            .iter()
-            .map(|&(kind, m1, m2)| BatchQuery { kind, m1: m1 % bound, m2: m2 % bound })
-            .collect();
-
-        let wire_for = |stamps: &MessageTimestamps| -> (Vec<Vec<u8>>, Vec<u8>) {
-            let entries: Vec<BatchEntry> = queries
-                .iter()
-                .map(|q| {
-                    let mut body = Vec::new();
-                    match answer_query_into(stamps, q.kind, q.m1, q.m2, &mut body) {
-                        Ok(()) => BatchEntry::Answer(body),
-                        Err(e) => BatchEntry::Error(e.to_string()),
-                    }
-                })
-                .collect();
-            let answers: Vec<Vec<u8>> = entries
-                .iter()
-                .filter_map(|e| match e {
-                    BatchEntry::Answer(body) => Some(body.clone()),
-                    BatchEntry::Error(_) => None,
-                })
-                .collect();
-            (answers, Frame::AnswerPipelined { corr: 0, entries }.encode().unwrap())
-        };
-
-        let dense = OnlineStamper::new(&dec).stamp_computation(&comp).unwrap();
-        let (dense_answers, dense_batch) = wire_for(&dense);
-
-        let tree = stamp_computation_as::<TreeClock>(&dec, &comp).unwrap();
-        let (tree_answers, tree_batch) = wire_for(&tree);
-        prop_assert_eq!(&tree_answers, &dense_answers, "ANSWER bodies diverged under tree");
-        prop_assert_eq!(&tree_batch, &dense_batch, "ANSWER3 frame diverged under tree");
-
-        if dec.len() <= ClockBackend::FIXED_CAPACITY {
-            let fixed = stamp_computation_as::<FixedArray16>(&dec, &comp).unwrap();
-            let (fixed_answers, fixed_batch) = wire_for(&fixed);
-            prop_assert_eq!(&fixed_answers, &dense_answers, "ANSWER bodies diverged under fixed");
-            prop_assert_eq!(&fixed_batch, &dense_batch, "ANSWER3 frame diverged under fixed");
-        }
-    }
-}
-
 /// A HELLO from a future protocol version parses as a frame (the header
 /// layout is version-independent) so the handshake can refuse it with a
 /// diagnostic rather than a framing error.

@@ -87,7 +87,7 @@ pub struct RunStats {
     /// Worst observed acknowledgement round-trip latency, in nanoseconds.
     pub ack_latency_max_ns: u64,
     /// Times a parked rendezvous wait actually resumed after a peer's
-    /// notification (zero under a matcher that never parks threads).
+    /// notification (zero on a transport that never parks threads).
     pub wakeups: u64,
     /// Median rendezvous wakeup latency — nanoseconds between a peer making
     /// a parked thread's condition true and the thread observing it.

@@ -78,15 +78,16 @@ pub enum RuntimeError {
         /// The transport's description of the failure.
         detail: String,
     },
-    /// The selected clock backend cannot hold one component per edge group
-    /// of the run's decomposition (e.g. `--clock fixed` on a topology that
-    /// decomposes to more groups than the backend has lanes). Pick `dense`,
-    /// `tree`, or `auto` instead; nothing truncates.
-    ClockUnsupported {
-        /// The decomposition's dimension.
-        dim: usize,
-        /// The backend's maximum dimension.
-        capacity: usize,
+    /// A vector handed to the runtime has a different dimension from the
+    /// decomposition it must run under: an initial-clock baseline
+    /// (`Runtime::with_initial_clock`), or a reconfiguration's remap
+    /// codomain or baseline (`Runtime::apply_reconfigure`). Nothing
+    /// truncates; the call is refused.
+    DimensionMismatch {
+        /// The decomposition's dimension (one component per edge group).
+        expected: usize,
+        /// The dimension of the offending remap or baseline.
+        got: usize,
     },
     /// A reconfiguration was applied out of order: `Runtime::apply_reconfigure`
     /// requires each applied epoch to be the successor of the runtime's
@@ -141,10 +142,10 @@ impl fmt::Display for RuntimeError {
                     "transport failure on channel to process {peer}: {detail}"
                 )
             }
-            RuntimeError::ClockUnsupported { dim, capacity } => {
+            RuntimeError::DimensionMismatch { expected, got } => {
                 write!(
                     f,
-                    "clock backend holds at most {capacity} components, but the decomposition has {dim} edge groups"
+                    "dimension mismatch: expected {expected} components, got {got}"
                 )
             }
             RuntimeError::EpochMismatch { expected, got } => {

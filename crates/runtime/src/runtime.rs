@@ -4,13 +4,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use synctime_core::clock::{ClockBackend, DenseVec, FixedArray16, TreeClock};
-use synctime_core::online::GenericProcessClock;
+use synctime_core::online::ProcessClock;
 use synctime_core::wire::{
     ack_frame_bytes, offer_frame_bytes, resync_frame_bytes, StreamDecoder, StreamEncoder,
     StreamError,
 };
-use synctime_core::{CoreError, MessageTimestamps, VectorTime};
+use synctime_core::{MessageTimestamps, VectorTime};
 use synctime_graph::{Edge, EdgeDecomposition, Graph, GroupRemap};
 use synctime_obs::{DeadlockDiagnosis, Recorder, RunStats, WaitEdge, WaitOp};
 use synctime_trace::{EventKind, MessageId, ProcessId, SyncComputation, TraceError};
@@ -20,7 +19,7 @@ use crate::matcher::ChannelSlot;
 use crate::transport::{
     LocalRx, LocalTx, OfferAnswer, Polled, RxChannel, SendAnswer, TransportError, TxChannel,
 };
-use crate::{Matcher, RuntimeError};
+use crate::RuntimeError;
 
 /// Locks a mutex, recovering from poisoning instead of panicking: every
 /// value behind these locks is written atomically from the holder's
@@ -226,114 +225,13 @@ pub enum LogEntry {
     Internal,
 }
 
-/// The runtime's process clock, dispatching the Figure 5 steps to the
-/// selected [`ClockBackend`]. Every backend produces identical stamps —
-/// the protocol is deterministic component arithmetic — so backend choice
-/// changes merge cost, never a single logged byte.
-#[derive(Debug, Clone)]
-enum BackendClock {
-    Dense(GenericProcessClock<DenseVec>),
-    Tree(GenericProcessClock<TreeClock>),
-    Fixed(GenericProcessClock<FixedArray16>),
-}
-
-impl BackendClock {
-    /// Builds the clock the resolved backend calls for, starting from
-    /// `initial` when given (the uniform baseline a reconfigured epoch
-    /// resumes from) and from zero otherwise.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::ClockUnsupported`] when the backend cannot hold
-    /// `dim` components.
-    fn new(
-        backend: ClockBackend,
-        dim: usize,
-        initial: Option<&VectorTime>,
-    ) -> Result<Self, RuntimeError> {
-        let unsupported = |_: CoreError| RuntimeError::ClockUnsupported {
-            dim,
-            capacity: ClockBackend::FIXED_CAPACITY,
-        };
-        use synctime_core::clock::Clock;
-        Ok(match backend.resolve(dim).map_err(unsupported)? {
-            ClockBackend::Tree => BackendClock::Tree(match initial {
-                Some(v) => {
-                    GenericProcessClock::from(TreeClock::from_vector(v).map_err(unsupported)?)
-                }
-                None => GenericProcessClock::try_new(dim).map_err(unsupported)?,
-            }),
-            ClockBackend::Fixed => BackendClock::Fixed(match initial {
-                Some(v) => {
-                    GenericProcessClock::from(FixedArray16::from_vector(v).map_err(unsupported)?)
-                }
-                None => GenericProcessClock::try_new(dim).map_err(unsupported)?,
-            }),
-            _ => BackendClock::Dense(match initial {
-                Some(v) => GenericProcessClock::from(v.clone()),
-                None => Self::dense_clock(dim),
-            }),
-        })
-    }
-
-    /// The universal dense clock — infallible at every dimension.
-    fn dense_clock(dim: usize) -> GenericProcessClock<DenseVec> {
-        GenericProcessClock::from(VectorTime::zero(dim))
-    }
-
-    /// The current local clock in dense interchange form.
-    fn current_vector(&self) -> VectorTime {
-        match self {
-            BackendClock::Dense(c) => c.current_vector(),
-            BackendClock::Tree(c) => c.current_vector(),
-            BackendClock::Fixed(c) => c.current_vector(),
-        }
-    }
-
-    /// The vector to piggyback on an outgoing message (line 02).
-    fn send_payload(&self) -> VectorTime {
-        self.current_vector()
-    }
-
-    /// Receiver side of the rendezvous (lines 04–07). The tree backend
-    /// merges through the Singhal–Kshemkalyani change-set when the stream
-    /// decoder recovered one — its sublinear path; dense and fixed merge
-    /// the reconstructed full vector, their fastest path.
-    fn on_receive(
-        &mut self,
-        vector: &VectorTime,
-        changes: Option<&[(usize, u64)]>,
-        group: usize,
-    ) -> Result<(VectorTime, VectorTime), CoreError> {
-        match self {
-            BackendClock::Dense(c) => c.on_receive_interchange(vector, None, group),
-            BackendClock::Tree(c) => c.on_receive_interchange(vector, changes, group),
-            BackendClock::Fixed(c) => c.on_receive_interchange(vector, None, group),
-        }
-    }
-
-    /// Sender side of the rendezvous completion (lines 09–11).
-    fn on_acknowledgement(
-        &mut self,
-        ack: &VectorTime,
-        changes: Option<&[(usize, u64)]>,
-        group: usize,
-    ) -> Result<VectorTime, CoreError> {
-        match self {
-            BackendClock::Dense(c) => c.on_acknowledgement_interchange(ack, None, group),
-            BackendClock::Tree(c) => c.on_acknowledgement_interchange(ack, changes, group),
-            BackendClock::Fixed(c) => c.on_acknowledgement_interchange(ack, None, group),
-        }
-    }
-}
-
 /// The per-process API available to a [`Behavior`]: blocking rendezvous
 /// sends and receives with automatic timestamp piggybacking, plus internal
 /// events.
 #[derive(Debug)]
 pub struct ProcessCtx {
     id: ProcessId,
-    clock: BackendClock,
+    clock: ProcessClock,
     decomposition: EdgeDecomposition,
     observer: Option<std::sync::mpsc::Sender<LiveObservation>>,
     sink: Option<std::sync::mpsc::Sender<Vec<PersistEvent>>>,
@@ -443,10 +341,9 @@ impl ProcessCtx {
         self.id
     }
 
-    /// A snapshot of the current local vector (in dense interchange form,
-    /// whichever clock backend the run uses).
+    /// A snapshot of the current local vector.
     pub fn clock(&self) -> VectorTime {
-        self.clock.current_vector()
+        self.clock.current().clone()
     }
 
     fn enter_blocked(&self, op: WaitOp, peer: ProcessId) {
@@ -764,7 +661,7 @@ impl ProcessCtx {
         // different decomposition — the stream is beyond repair.
         let stamp = match self
             .clock
-            .on_acknowledgement(&ack, ack_changes.as_deref(), group)
+            .on_acknowledgement_frame(&ack, ack_changes.as_deref(), group)
         {
             Ok(stamp) => stamp,
             Err(_) => {
@@ -894,7 +791,10 @@ impl ProcessCtx {
         let recv_wait = blocked + self.unpark(parked);
         // A decoded frame of the wrong dimension means the sender runs a
         // different decomposition — the stream is beyond repair.
-        let (ack, stamp) = match self.clock.on_receive(&vector, changes.as_deref(), group) {
+        let (ack, stamp) = match self
+            .clock
+            .on_receive_frame(&vector, changes.as_deref(), group)
+        {
             Ok(pair) => pair,
             Err(_) => {
                 self.recorder
@@ -1007,11 +907,9 @@ pub struct Runtime {
     sink: Option<std::sync::mpsc::Sender<Vec<PersistEvent>>>,
     watchdog: Option<Duration>,
     ring_capacity: usize,
-    matcher: Matcher,
     fault: Option<Arc<dyn FaultInjector>>,
     rendezvous_timeout: Option<Duration>,
     rendezvous_retries: u32,
-    clock_backend: ClockBackend,
     /// The reconfiguration epoch this runtime executes (0 at creation,
     /// bumped by [`Runtime::apply_reconfigure`]).
     epoch: u64,
@@ -1034,8 +932,7 @@ impl Runtime {
     ///
     /// The deadlock watchdog is on by default with
     /// [`DEFAULT_WATCHDOG_TIMEOUT`]; tune it with [`Runtime::with_watchdog`]
-    /// or disable it with [`Runtime::without_watchdog`]. The rendezvous
-    /// matcher defaults to [`Matcher::Parking`].
+    /// or disable it with [`Runtime::without_watchdog`].
     pub fn new(topology: &Graph, decomposition: &EdgeDecomposition) -> Self {
         Runtime {
             topology: topology.clone(),
@@ -1044,11 +941,9 @@ impl Runtime {
             sink: None,
             watchdog: Some(DEFAULT_WATCHDOG_TIMEOUT),
             ring_capacity: DEFAULT_EVENT_RING,
-            matcher: Matcher::default(),
             fault: None,
             rendezvous_timeout: None,
             rendezvous_retries: DEFAULT_RENDEZVOUS_RETRIES,
-            clock_backend: ClockBackend::default(),
             epoch: 0,
             initial_clock: None,
         }
@@ -1068,13 +963,13 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::ClockUnsupported`] when `baseline`'s dimension
+    /// [`RuntimeError::DimensionMismatch`] when `baseline`'s dimension
     /// differs from the decomposition's.
     pub fn with_initial_clock(mut self, baseline: VectorTime) -> Result<Self, RuntimeError> {
         if baseline.dim() != self.decomposition.len() {
-            return Err(RuntimeError::ClockUnsupported {
-                dim: baseline.dim(),
-                capacity: self.decomposition.len(),
+            return Err(RuntimeError::DimensionMismatch {
+                expected: self.decomposition.len(),
+                got: baseline.dim(),
             });
         }
         self.initial_clock = Some(baseline);
@@ -1090,9 +985,9 @@ impl Runtime {
     /// # Errors
     ///
     /// [`RuntimeError::EpochMismatch`] when `r.epoch` is not
-    /// `self.epoch() + 1`; [`RuntimeError::ClockUnsupported`] when the
-    /// remap, baseline, and decomposition disagree on the new dimension or
-    /// the configured clock backend cannot hold it.
+    /// `self.epoch() + 1`; [`RuntimeError::DimensionMismatch`] when the
+    /// remap's codomain or the baseline disagrees with the new
+    /// decomposition's dimension (the remap is checked first).
     pub fn apply_reconfigure(&mut self, r: &AppliedReconfigure) -> Result<(), RuntimeError> {
         if r.epoch != self.epoch + 1 {
             return Err(RuntimeError::EpochMismatch {
@@ -1100,49 +995,17 @@ impl Runtime {
                 got: r.epoch,
             });
         }
-        let dim = r.decomposition.len();
-        if r.remap.new_len != dim || r.baseline.dim() != dim {
-            return Err(RuntimeError::ClockUnsupported {
-                dim: r.baseline.dim().max(r.remap.new_len),
-                capacity: dim,
-            });
+        let expected = r.decomposition.len();
+        for got in [r.remap.new_len, r.baseline.dim()] {
+            if got != expected {
+                return Err(RuntimeError::DimensionMismatch { expected, got });
+            }
         }
-        // Re-validate the configured backend against the new dimension —
-        // a topology change can grow past a fixed backend's lanes.
-        self.clock_backend
-            .resolve(dim)
-            .map_err(|_| RuntimeError::ClockUnsupported {
-                dim,
-                capacity: ClockBackend::FIXED_CAPACITY,
-            })?;
         self.topology = r.topology.clone();
         self.decomposition = r.decomposition.clone();
         self.initial_clock = Some(r.baseline.clone());
         self.epoch = r.epoch;
         Ok(())
-    }
-
-    /// Selects the clock backend every process clock of this runtime uses
-    /// (see [`ClockBackend`]). The default, [`ClockBackend::Auto`], picks
-    /// the fixed-lane backend when the decomposition fits its lanes and
-    /// the dense vector otherwise. Backend choice never changes a stamp —
-    /// all backends compute identical vectors — only the cost of computing
-    /// them.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::ClockUnsupported`] when the backend cannot hold one
-    /// component per edge group of this runtime's decomposition.
-    pub fn with_clock(mut self, backend: ClockBackend) -> Result<Self, RuntimeError> {
-        let dim = self.decomposition.len();
-        backend
-            .resolve(dim)
-            .map_err(|_| RuntimeError::ClockUnsupported {
-                dim,
-                capacity: ClockBackend::FIXED_CAPACITY,
-            })?;
-        self.clock_backend = backend;
-        Ok(self)
     }
 
     /// Aborts a run with [`RuntimeError::Deadlock`] once a wait-for cycle
@@ -1158,14 +1021,6 @@ impl Runtime {
     #[must_use]
     pub fn without_watchdog(mut self) -> Self {
         self.watchdog = None;
-        self
-    }
-
-    /// Selects how blocked rendezvous endpoints wait for their partner
-    /// (parking by default; polling is kept as a benchmark baseline).
-    #[must_use]
-    pub fn with_matcher(mut self, matcher: Matcher) -> Self {
-        self.matcher = matcher;
         self
     }
 
@@ -1294,14 +1149,8 @@ impl Runtime {
         for e in self.topology.edges() {
             for (u, v) in [(e.lo(), e.hi()), (e.hi(), e.lo())] {
                 let slot = Arc::new(ChannelSlot::new());
-                tx_maps[u].insert(
-                    v,
-                    Arc::new(LocalTx::new(Arc::clone(&slot), self.matcher)) as _,
-                );
-                rx_maps[v].insert(
-                    u,
-                    Arc::new(LocalRx::new(Arc::clone(&slot), self.matcher)) as _,
-                );
+                tx_maps[u].insert(v, Arc::new(LocalTx::new(Arc::clone(&slot))) as _);
+                rx_maps[v].insert(u, Arc::new(LocalRx::new(Arc::clone(&slot))) as _);
                 slots.push(slot);
             }
         }
@@ -1342,7 +1191,7 @@ impl Runtime {
                             // the park backstop.
                             shared.live[id].store(false, Ordering::Release);
                             shared.wake_all();
-                            let final_clock = ctx.clock.current_vector();
+                            let final_clock = ctx.clock.current().clone();
                             (ctx.log, final_clock, outcome.err())
                         })
                     })
@@ -1410,12 +1259,9 @@ impl Runtime {
         recorder: Arc<Recorder>,
     ) -> ProcessCtx {
         let dim = self.decomposition.len();
-        // `with_clock` validated the backend against this decomposition, so
-        // construction cannot fail; the dense fallback keeps this path
-        // typed and panic-free regardless.
-        let clock = match BackendClock::new(self.clock_backend, dim, self.initial_clock.as_ref()) {
-            Ok(clock) => clock,
-            Err(_) => BackendClock::Dense(BackendClock::dense_clock(dim)),
+        let clock = match &self.initial_clock {
+            Some(baseline) => ProcessClock::from(baseline.clone()),
+            None => ProcessClock::new(dim),
         };
         ProcessCtx {
             id,
@@ -1494,7 +1340,7 @@ impl Runtime {
             })
             .max()
             .unwrap_or(0);
-        let final_clock = ctx.clock.current_vector();
+        let final_clock = ctx.clock.current().clone();
         ProcessRun {
             process: id,
             log: ctx.log,
@@ -1765,18 +1611,6 @@ mod tests {
     }
 
     #[test]
-    fn polling_matcher_produces_identical_stamps() {
-        let (rt, behaviors) = ping_pong(5);
-        let rt = rt.with_matcher(Matcher::Polling);
-        let run = rt.run(behaviors).unwrap();
-        let (comp, stamps) = run.reconstruct().unwrap();
-        assert_eq!(comp.message_count(), 10);
-        assert!(stamps.encodes(&Oracle::new(&comp)));
-        let vals: Vec<u64> = stamps.vectors().iter().map(|v| v[0]).collect();
-        assert_eq!(vals, (1..=10).collect::<Vec<u64>>());
-    }
-
-    #[test]
     fn timestamps_match_simulator_on_same_computation() {
         let (rt, behaviors) = ping_pong(3);
         let run = rt.run(behaviors).unwrap();
@@ -1829,49 +1663,21 @@ mod tests {
     }
 
     #[test]
-    fn clock_backends_produce_identical_traces() {
+    fn delta_merged_relay_stamps_match_the_batch_protocol() {
+        // The runtime merges delta frames through their change-sets; the
+        // batch stamper merges full vectors. Over multi-dimensional
+        // vectors both must land on the same stamps.
         let topo = topology::path(4);
         let dec = decompose::best_known(&topo);
         assert!(dec.len() >= 2, "relay should exercise multi-dim vectors");
-        let mut reference = None;
-        for backend in [
-            ClockBackend::Dense,
-            ClockBackend::Tree,
-            ClockBackend::Fixed,
-            ClockBackend::Auto,
-        ] {
-            let rt = Runtime::new(&topo, &dec).with_clock(backend).unwrap();
-            let run = rt.run(relay_behaviors(4)).unwrap();
-            let (comp, stamps) = run.reconstruct().unwrap();
-            assert!(stamps.encodes(&Oracle::new(&comp)), "{backend}");
-            match &reference {
-                None => reference = Some((comp, stamps)),
-                Some((ref_comp, ref_stamps)) => {
-                    assert_eq!(&comp, ref_comp, "{backend} reconstructed differently");
-                    assert_eq!(&stamps, ref_stamps, "{backend} stamped differently");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn with_clock_rejects_undersized_fixed_backend() {
-        // complete:20 decomposes to more edge groups than the fixed
-        // backend's 16 lanes.
-        let topo = topology::complete(20);
-        let dec = decompose::best_known(&topo);
-        assert!(dec.len() > ClockBackend::FIXED_CAPACITY);
-        let err = Runtime::new(&topo, &dec)
-            .with_clock(ClockBackend::Fixed)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            RuntimeError::ClockUnsupported { capacity: 16, .. }
-        ));
-        // Auto falls back to dense on the same decomposition.
-        assert!(Runtime::new(&topo, &dec)
-            .with_clock(ClockBackend::Auto)
-            .is_ok());
+        let run = Runtime::new(&topo, &dec).run(relay_behaviors(4)).unwrap();
+        assert_eq!(run.stats().resync_frames, 0);
+        let (comp, stamps) = run.reconstruct().unwrap();
+        assert!(stamps.encodes(&Oracle::new(&comp)));
+        let batch = synctime_core::online::OnlineStamper::new(&dec)
+            .stamp_computation(&comp)
+            .unwrap();
+        assert_eq!(stamps, batch);
     }
 
     #[test]
@@ -2431,7 +2237,71 @@ mod tests {
         let topo = topology::path(3);
         let dec = decompose::best_known(&topo);
         let rt = Runtime::new(&topo, &dec);
-        let err = rt.with_initial_clock(VectorTime::zero(dec.len() + 1));
-        assert!(matches!(err, Err(RuntimeError::ClockUnsupported { .. })));
+        let err = rt
+            .with_initial_clock(VectorTime::zero(dec.len() + 1))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::DimensionMismatch {
+                expected: dec.len(),
+                got: dec.len() + 1
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "dimension mismatch: expected {} components, got {}",
+                dec.len(),
+                dec.len() + 1
+            )
+        );
+    }
+
+    #[test]
+    fn apply_reconfigure_reports_which_dimension_disagreed() {
+        use synctime_graph::{EdgeOp, IncrementalDecomposition};
+        let mut inc = IncrementalDecomposition::new(&Graph::from_edges(4, [(0, 1)]).unwrap());
+        let mut rt = Runtime::new(inc.graph(), inc.decomposition());
+        let remap = inc.apply_ops(&[EdgeOp::Insert(2, 3)]).unwrap();
+        let dim = inc.decomposition().len();
+        assert_eq!(dim, 2, "a disconnected pair adds a fresh group");
+        let good = AppliedReconfigure {
+            epoch: 1,
+            topology: inc.graph().clone(),
+            decomposition: inc.decomposition().clone(),
+            remap: remap.clone(),
+            baseline: VectorTime::zero(dim),
+        };
+        // A remap whose codomain disagrees is named by its own length...
+        let bad_remap = AppliedReconfigure {
+            remap: GroupRemap {
+                new_len: dim + 3,
+                ..remap.clone()
+            },
+            ..good.clone()
+        };
+        assert_eq!(
+            rt.apply_reconfigure(&bad_remap),
+            Err(RuntimeError::DimensionMismatch {
+                expected: dim,
+                got: dim + 3
+            })
+        );
+        // ...and a baseline of the wrong dimension by the baseline's.
+        let bad_baseline = AppliedReconfigure {
+            baseline: VectorTime::zero(dim + 1),
+            ..good.clone()
+        };
+        assert_eq!(
+            rt.apply_reconfigure(&bad_baseline),
+            Err(RuntimeError::DimensionMismatch {
+                expected: dim,
+                got: dim + 1
+            })
+        );
+        // Refusals leave the runtime in its epoch; the good one applies.
+        assert_eq!(rt.epoch(), 0);
+        rt.apply_reconfigure(&good).unwrap();
+        assert_eq!(rt.epoch(), 1);
     }
 }

@@ -46,7 +46,6 @@ use std::time::Instant;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use synctime_core::clock::ClockBackend;
 use synctime_core::VectorTime;
 use synctime_graph::{EdgeOp, Graph, GraphError, GroupRemap, IncrementalDecomposition};
 use synctime_runtime::{AppliedReconfigure, Behavior, LogEntry, RunStats, Runtime, RuntimeError};
@@ -415,8 +414,6 @@ fn rebase(v: &VectorTime, remap: &GroupRemap) -> VectorTime {
 /// How the multi-epoch engine runs each epoch.
 #[derive(Debug, Clone, Default)]
 pub struct ChurnConfig {
-    /// Clock backend every epoch's runtime uses.
-    pub backend: ClockBackend,
     /// Faults composed with the churn script (`at_op` indices restart
     /// each epoch; crashes remove the process permanently).
     pub fault: FaultPlan,
@@ -500,13 +497,12 @@ impl ChurnRun {
 ///
 /// [`ChurnError::InvalidPlan`] for a malformed plan,
 /// [`ChurnError::Graph`] when an edge edit is rejected, and
-/// [`ChurnError::Runtime`] when the backend cannot hold an epoch's
-/// dimension or a reconfiguration is refused.
+/// [`ChurnError::Runtime`] when a reconfiguration is refused.
 pub fn run_churn(plan: &ChurnPlan, cfg: &ChurnConfig) -> Result<ChurnRun, ChurnError> {
     let actives = plan.active_sets()?;
     let topo0 = epoch_topology(plan.universe, &actives[0])?;
     let mut inc = IncrementalDecomposition::new(&topo0);
-    let mut runtime = Runtime::new(&topo0, inc.decomposition()).with_clock(cfg.backend)?;
+    let mut runtime = Runtime::new(&topo0, inc.decomposition());
     if !cfg.fault.is_empty() {
         runtime = runtime.with_fault_injector(Arc::new(cfg.fault.clone()));
     }
@@ -774,7 +770,6 @@ mod tests {
     fn crash_faults_compose_and_remove_the_victim_for_good() {
         let plan = sample_plan();
         let cfg = ChurnConfig {
-            backend: ClockBackend::default(),
             fault: FaultPlan {
                 faults: vec![FaultEvent {
                     process: 3,

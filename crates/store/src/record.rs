@@ -18,8 +18,7 @@
 //! | 4   | RECONFIG | varint epoch, varint cut_count, cuts, varint op_count, ops   |
 //!
 //! The stamp is **last** and runs to the end of the payload: it is exactly
-//! the bytes the clock seam (`Clock::encode_wire`, i.e.
-//! [`wire::encode_full`]) produces, so every `--clock` backend round-trips
+//! the bytes [`wire::encode_full`] produces, so every stamp round-trips
 //! byte-identically and [`wire::decode_full`]'s exact-consumption check
 //! validates it in place. Record sizes are priced byte-for-byte by
 //! `wire::store_meta_record_bytes` / `store_stamp_record_bytes` /

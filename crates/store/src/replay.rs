@@ -17,9 +17,8 @@ use crate::record::StampRecord;
 use crate::StoreError;
 
 /// Encodes one runtime log entry as a store record at coordinate
-/// `(process, pseq)`. The stamp is serialised with the same
-/// `synctime_core::wire::encode_full` codec every clock backend already
-/// speaks, so any `--clock` choice round-trips through the store.
+/// `(process, pseq)`. The stamp is serialised with the
+/// `synctime_core::wire::encode_full` codec the wire already speaks.
 pub fn record_from_log_entry(process: u64, pseq: u64, entry: &LogEntry) -> StampRecord {
     match entry {
         LogEntry::Sent { to, key, stamp } => StampRecord::Sent {

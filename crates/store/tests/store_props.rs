@@ -1,6 +1,5 @@
 //! Property tests for the store's crash tolerance: arbitrary stamp
-//! payloads (covering what any clock backend emits through
-//! `wire::encode_full`) encoded into store files, then truncated or
+//! payloads (any vector's `wire::encode_full` bytes) encoded into store files, then truncated or
 //! corrupted at arbitrary byte positions — recovery must keep exactly a
 //! valid record prefix, reconstruct it successfully, and never panic.
 //! Adversarial record streams appended in flush-sized batches check the
@@ -21,11 +20,9 @@ use synctime_store::{
 };
 use synctime_testutil::TempDir;
 
-/// Arbitrary stamp bytes as any clock backend would produce them: every
-/// backend serialises through `wire::encode_full`, so an arbitrary
-/// component vector covers dense, tree-summarised, and fixed-capacity
-/// clocks alike (they differ in how they *compute* components, not in
-/// the wire form).
+// Arbitrary stamp bytes: every stamp is stored as `wire::encode_full` of
+// its vector, so an arbitrary component vector covers every stamp the
+// store can be handed.
 prop_compose! {
     fn arb_stamp()(components in collection::vec(0u64..1_000_000, 0..9)) -> Vec<u8> {
         wire::encode_full(&synctime_core::VectorTime::from(components))

@@ -24,57 +24,56 @@
 #      sparse-vs-dense speedup claim in the full report)
 #   9. bench-smoke: the net_query suite at CI scale, checking both its own
 #      smoke report and the checked-in results/ JSON against the
-#      synctime/bench_net/v4 schema (full reports must clear the >= 10k
+#      synctime/bench_net/v5 schema (full reports must clear the >= 10k
 #      single-query (batch-of-one) floor, >= 3x lock-step batch-256
 #      speedup over single-connection single queries, >= 500k aggregate
 #      fabric queries/sec at amortised p99 <= 250us, >= 1.5x W=16
 #      pipelined speedup over lock-step batch-256, >= 1.3x vectorized
-#      merge-kernel speedup at d=256, and zero steady-state serving
-#      allocations)
-#  10. bench-smoke: the clock_backends suite at CI scale, checking both its
-#      own smoke report and the checked-in results/ JSON against the
-#      synctime/bench_clocks/v1 schema (full reports must clear the >= 2x
-#      TreeClock-over-DenseVec sparse-delta merge floor at N=256 and agree
-#      bit-for-bit on final clocks across backends)
-#  11. fault-smoke: ring and gossip workloads under fixed crash and desync
+#      merge-kernel speedup at d=256, >= 2x VectorTime::merge_delta of
+#      4-wide change-sets over the full-vector merge_max at d=256, and
+#      zero steady-state serving allocations; every report must show the
+#      delta-merged and fully merged clocks ending equal)
+#  10. fault-smoke: ring and gossip workloads under fixed crash and desync
 #      plans must exit 0 with typed outcomes, inject every scheduled fault,
 #      and recover desyncs through full-vector resync frames
-#  12. net-smoke: `launch --transport tcp` (one OS process per synchronous
+#  11. net-smoke: `launch --transport tcp` (one OS process per synchronous
 #      process over loopback TCP) must emit a trace byte-identical to the
 #      in-process `run`; `serve-query` must answer the fixture's three
 #      known precedence queries over the wire (single queries are batches
 #      of one on the QUERY3/ANSWER3 frames every call uses); a 2-trace
 #      `--traces-dir` catalog must answer named-trace and batched queries
 #      with the same verdicts
-#  13. pipeline-smoke: against the live catalog server, a `--window 16`
+#  12. pipeline-smoke: against the live catalog server, a `--window 16`
 #      pipelined batch (one pair per frame, 16 in flight) must print
 #      byte-identical output to the same lock-step `--batch`, and both
 #      must match the literal expected verdicts of the `ring` and `web`
 #      fixtures; the dedicated counting-allocator test must prove the
 #      steady-state serving path performs zero heap allocations
-#  14. clock-smoke: `run --ring 8` and `stamp` of a generated trace must
-#      produce byte-identical output under every `--clock` backend
-#      (dense / tree / fixed / auto), and an unknown backend name must be
-#      refused with a diagnostic
-#  15. bench-smoke: the store_replay suite at CI scale, checking both its
+#  13. clock-smoke: `run --ring 8 --rounds 3` and `stamp --topology
+#      cycle:8` of the `generate --topology cycle:8 --messages 48 --seed 9`
+#      trace must match the checked-in golden outputs under scripts/golden/
+#      byte for byte, and `run --clock tree` must be refused as an unknown
+#      flag (there is one clock; a retired selector is an error, not a
+#      silently ignored default)
+#  14. bench-smoke: the store_replay suite at CI scale, checking both its
 #      own smoke report and the checked-in results/ JSON against the
 #      synctime/bench_store/v1 schema (full reports must recover byte-
 #      identical logs, clear the >= 500k records/s replay floor, and keep
 #      ingest overhead <= 1.10 on hosts with a second hardware thread —
 #      <= 1.5 on single-thread hosts, where the writer's CPU serialises
 #      with the run)
-#  16. bench-smoke: the reconfig_churn suite at CI scale, checking both
+#  15. bench-smoke: the reconfig_churn suite at CI scale, checking both
 #      its own smoke report and the checked-in results/ JSON against the
 #      synctime/bench_churn/v1 schema (full reports must keep reconfigure
 #      p99 <= 50ms and the rebased clock dimension within 2*alpha in
 #      every epoch)
-#  17. store-smoke: a ring run with `--persist` is served from its store
+#  16. store-smoke: a ring run with `--persist` is served from its store
 #      by `serve-query --store-dir`; the serving node is killed with
 #      SIGKILL mid-ingest while a second persisted run grows the store,
 #      restarted from the store alone, and must then answer the same
 #      batched + chain queries byte-identically to a server over an
 #      uninterrupted copy of the run (ROADMAP item 3's recovery gate)
-#  18. churn-smoke: a churned run (join + leave + swap across three
+#  17. churn-smoke: a churned run (join + leave + swap across three
 #      epochs) must produce byte-identical final-epoch traces over the
 #      distributed TCP path, the in-process engine, and an uninterrupted
 #      reference run whose membership is the final active set (the
@@ -82,7 +81,7 @@
 #      report every epoch; a persisted churned store served by
 #      `serve-query --store-dir` must answer queries byte-identically to
 #      the sparse offline engine stamping the reference trace
-#  19. panic-free gate: no new `.unwrap()` / `.expect(` on the runtime's
+#  18. panic-free gate: no new `.unwrap()` / `.expect(` on the runtime's
 #      or the store's non-test source (typed RuntimeError / StoreError
 #      paths only; store recovery must stay typed under adversarial bytes)
 set -euo pipefail
@@ -129,8 +128,6 @@ run cargo bench -q -p synctime-bench --bench offline_pipeline -- \
   --smoke --out "$SMOKE_OUT2" --validate "$PWD/results/BENCH_offline_pipeline.json"
 run cargo bench -q -p synctime-bench --bench net_query -- \
   --smoke --out "$SMOKE_OUT" --validate "$PWD/results/BENCH_net.json"
-run cargo bench -q -p synctime-bench --bench clock_backends -- \
-  --smoke --out "$SMOKE_OUT2" --validate "$PWD/results/BENCH_clocks.json"
 run cargo bench -q -p synctime-bench --bench store_replay -- \
   --smoke --out "$SMOKE_OUT" --validate "$PWD/results/BENCH_store.json"
 run cargo bench -q -p synctime-bench --bench reconfig_churn -- \
@@ -302,38 +299,28 @@ wait "$CATALOG_PID" 2>/dev/null || true
 echo "==> pipeline-smoke: counting-allocator proof of the zero-alloc hot path"
 run cargo test -q -p synctime-net --test zero_alloc
 
-# --- clock-smoke: every clock backend must be a drop-in representation —
-# --- same traces, same stamps, byte for byte.
+# --- clock-smoke: the one clock must keep every trace and stamp of the
+# --- checked-in golden outputs, byte for byte.
 CLOCK_DIR="$(mktemp -d)"
 trap 'rm -f "$SMOKE_OUT" "$SMOKE_OUT2"; rm -rf "$FAULT_DIR" "$NET_DIR" "$CLOCK_DIR"' EXIT
 
-echo "==> clock-smoke: run ring:8 byte-identical under every backend"
-"$SYNCTIME" run --ring 8 --rounds 3 --clock dense > "$CLOCK_DIR/run-dense.json"
-for clock in tree fixed auto; do
-  "$SYNCTIME" run --ring 8 --rounds 3 --clock "$clock" > "$CLOCK_DIR/run-$clock.json"
-  diff "$CLOCK_DIR/run-dense.json" "$CLOCK_DIR/run-$clock.json" || {
-    echo "verify: run --clock $clock diverged from dense" >&2; exit 1; }
-done
+echo "==> clock-smoke: run ring:8 matches its golden trace"
+"$SYNCTIME" run --ring 8 --rounds 3 > "$CLOCK_DIR/run.json"
+diff scripts/golden/clock_smoke_run_ring8.json "$CLOCK_DIR/run.json" || {
+  echo "verify: run --ring 8 diverged from its golden trace" >&2; exit 1; }
 
-echo "==> clock-smoke: stamp a generated trace byte-identical under every backend"
+echo "==> clock-smoke: stamp of a generated cycle:8 trace matches its golden stamps"
 "$SYNCTIME" generate --topology cycle:8 --messages 48 --seed 9 > "$CLOCK_DIR/trace.json"
-# The first output line labels the engine+backend; the stamped vectors
-# below it are the comparison.
-"$SYNCTIME" stamp --topology cycle:8 --trace "$CLOCK_DIR/trace.json" --clock dense \
-  | tail -n +2 > "$CLOCK_DIR/stamp-dense.out"
-for clock in tree fixed auto; do
-  "$SYNCTIME" stamp --topology cycle:8 --trace "$CLOCK_DIR/trace.json" --clock "$clock" \
-    | tail -n +2 > "$CLOCK_DIR/stamp-$clock.out"
-  diff "$CLOCK_DIR/stamp-dense.out" "$CLOCK_DIR/stamp-$clock.out" || {
-    echo "verify: stamp --clock $clock diverged from dense" >&2; exit 1; }
-done
+"$SYNCTIME" stamp --topology cycle:8 --trace "$CLOCK_DIR/trace.json" > "$CLOCK_DIR/stamp.out"
+diff scripts/golden/clock_smoke_stamp_cycle8.out "$CLOCK_DIR/stamp.out" || {
+  echo "verify: stamp --topology cycle:8 diverged from its golden stamps" >&2; exit 1; }
 
-echo "==> clock-smoke: unknown backend is refused with a diagnostic"
-if "$SYNCTIME" run --ring 4 --clock warp > /dev/null 2> "$CLOCK_DIR/warp.err"; then
-  echo "verify: run --clock warp should have been refused" >&2; exit 1
+echo "==> clock-smoke: the retired --clock selector is refused as an unknown flag"
+if "$SYNCTIME" run --ring 4 --clock tree > /dev/null 2> "$CLOCK_DIR/clock.err"; then
+  echo "verify: run --clock tree should have been refused" >&2; exit 1
 fi
-grep -q 'unknown clock backend' "$CLOCK_DIR/warp.err" || {
-  echo "verify: --clock warp error lacks the backend diagnostic" >&2; exit 1; }
+grep -q 'unknown flag --clock for `run`' "$CLOCK_DIR/clock.err" || {
+  echo "verify: run --clock tree error lacks the unknown-flag diagnostic" >&2; exit 1; }
 
 # --- store-smoke: durable ingestion must survive a SIGKILL of the serving
 # --- node and recover query answers byte-identical to an uninterrupted run.

@@ -414,88 +414,13 @@ proptest! {
         }
     }
 
-    /// Backend isomorphism on random traces: the `TreeClock` and
-    /// `FixedArray` backends reproduce the dense stamps *byte for byte* on
-    /// both the online protocol and both offline engines, so they are
-    /// trivially order-isomorphic — and the tree stamps independently
-    /// encode `↦` against the oracle. A fixed-lane backend too narrow for
-    /// the dimension must fail typed, never truncate.
+    /// The runtime's delta-merge path under faults: whatever rendezvous
+    /// prefix survives a seeded crash plan, restamping that prefix with the
+    /// batch Figure 5 protocol (full-vector merges) reproduces the stamps
+    /// the tolerant run logged — which merged delta frames through their
+    /// change-sets — and both encode `↦` on the prefix.
     #[test]
-    fn clock_backends_stamp_identically_on_random_traces(
-        n in 4usize..9,
-        extra in 0usize..5,
-        msgs in 1usize..45,
-        seed in 0u64..5000,
-    ) {
-        use synctime_core::clock::{ClockBackend, FixedArray, FixedArray16, TreeClock};
-        use synctime_core::online::stamp_computation_as;
-        use synctime_core::CoreError;
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let topo = graph::topology::random_connected(n, extra, &mut rng);
-        let comp = random_computation(&topo, msgs, seed.wrapping_add(61));
-        let oracle = Oracle::new(&comp);
-        let dec = decompose::best_known(&topo);
-
-        let dense = OnlineStamper::new(&dec).stamp_computation(&comp).unwrap();
-        let tree = stamp_computation_as::<TreeClock>(&dec, &comp).unwrap();
-        prop_assert_eq!(dense.len(), tree.len());
-        for m in 0..dense.len() {
-            prop_assert_eq!(
-                dense.vector(MessageId(m)),
-                tree.vector(MessageId(m)),
-                "online tree backend diverged on m{}",
-                m
-            );
-        }
-        let mismatch = first_encoding_mismatch(&tree, &oracle);
-        prop_assert!(mismatch.is_none(), "tree: {}", mismatch.unwrap());
-        if dec.len() <= ClockBackend::FIXED_CAPACITY {
-            let fixed = stamp_computation_as::<FixedArray16>(&dec, &comp).unwrap();
-            for m in 0..dense.len() {
-                prop_assert_eq!(
-                    dense.vector(MessageId(m)),
-                    fixed.vector(MessageId(m)),
-                    "online fixed backend diverged on m{}",
-                    m
-                );
-            }
-        }
-        // Too-narrow lanes are a typed error, not a truncation.
-        if dec.len() > 1 {
-            let narrow_fails_typed = matches!(
-                stamp_computation_as::<FixedArray<1>>(&dec, &comp),
-                Err(CoreError::DimensionUnsupported { .. })
-            );
-            prop_assert!(narrow_fails_typed);
-        }
-
-        // Both offline engines, re-emitted through each backend's
-        // delta-merge arithmetic, stay bit-identical too.
-        let off = offline::stamp_computation(&comp);
-        let off_tree = offline::stamp_computation_as::<TreeClock>(&comp).unwrap();
-        for m in 0..off.len() {
-            prop_assert_eq!(off.vector(MessageId(m)), off_tree.vector(MessageId(m)));
-        }
-        let sparse = offline::stamp_computation_sparse(&comp);
-        let sparse_tree = offline::stamp_computation_sparse_as::<TreeClock>(&comp).unwrap();
-        for m in 0..sparse.len() {
-            prop_assert_eq!(sparse.vector(MessageId(m)), sparse_tree.vector(MessageId(m)));
-        }
-        if sparse.dim() <= ClockBackend::FIXED_CAPACITY {
-            let sparse_fixed = offline::stamp_computation_sparse_as::<FixedArray16>(&comp).unwrap();
-            for m in 0..sparse.len() {
-                prop_assert_eq!(sparse.vector(MessageId(m)), sparse_fixed.vector(MessageId(m)));
-            }
-        }
-    }
-
-    /// Backend isomorphism under faults: whatever rendezvous prefix
-    /// survives a seeded crash plan, every clock backend stamps that prefix
-    /// identically and order-isomorphically to the vectors the tolerant
-    /// run itself reconstructed.
-    #[test]
-    fn clock_backends_agree_on_crash_survivor_prefixes(
+    fn restamped_crash_survivor_prefixes_match_the_run(
         n in 3usize..7,
         extra in 0usize..4,
         msgs in 4usize..25,
@@ -506,8 +431,6 @@ proptest! {
         use std::time::Duration;
         use synctime::runtime::{Behavior, Runtime};
         use synctime::sim::{programs, FaultPlan};
-        use synctime_core::clock::{ClockBackend, FixedArray16, TreeClock};
-        use synctime_core::online::stamp_computation_as;
 
         let mut rng = StdRng::seed_from_u64(seed);
         let topo = graph::topology::random_connected(n, extra, &mut rng);
@@ -544,102 +467,20 @@ proptest! {
             .run_tolerant(behaviors);
         let (prefix, run_stamps) = run.reconstruct().expect("two-sided logs reconstruct");
 
-        let dense = OnlineStamper::new(&dec).stamp_computation(&prefix).unwrap();
-        let tree = stamp_computation_as::<TreeClock>(&dec, &prefix).unwrap();
-        prop_assert_eq!(dense.len(), tree.len());
-        for m in 0..dense.len() {
+        let restamped = OnlineStamper::new(&dec).stamp_computation(&prefix).unwrap();
+        prop_assert_eq!(restamped.len(), run_stamps.len());
+        for m in 0..restamped.len() {
             prop_assert_eq!(
-                dense.vector(MessageId(m)),
-                tree.vector(MessageId(m)),
-                "tree backend diverged on survivor prefix at m{}",
+                restamped.vector(MessageId(m)),
+                run_stamps.vector(MessageId(m)),
+                "restamped survivor prefix diverged from the run at m{}",
                 m
             );
         }
-        if dec.len() <= ClockBackend::FIXED_CAPACITY {
-            let fixed = stamp_computation_as::<FixedArray16>(&dec, &prefix).unwrap();
-            for m in 0..dense.len() {
-                prop_assert_eq!(dense.vector(MessageId(m)), fixed.vector(MessageId(m)));
-            }
-        }
-        // And the backend stamps tell the same order story as the vectors
-        // the run itself reconstructed from its two-sided logs.
-        let mismatch = first_isomorphism_mismatch(&tree, &run_stamps);
+        let mismatch = first_isomorphism_mismatch(&restamped, &run_stamps);
         prop_assert!(mismatch.is_none(), "survivor prefix: {}", mismatch.unwrap());
         let oracle = Oracle::new(&prefix);
-        let mismatch = first_encoding_mismatch(&tree, &oracle);
+        let mismatch = first_encoding_mismatch(&restamped, &oracle);
         prop_assert!(mismatch.is_none(), "survivor prefix: {}", mismatch.unwrap());
-    }
-
-    /// Backend isomorphism across live reconfiguration: three sessions —
-    /// dense, tree, fixed — driven in lockstep through the same messages
-    /// and the same mid-run remap produce byte-identical stamps at every
-    /// step, before and after the groups dissolve and shift.
-    #[test]
-    fn clock_backends_agree_across_reconfiguration(
-        n in 4usize..8,
-        extra in 1usize..5,
-        prefix in 1usize..20,
-        suffix in 1usize..20,
-        seed in 0u64..5000,
-    ) {
-        use synctime_core::clock::{FixedArray16, TreeClock};
-        use synctime_core::online::GenericOnlineSession;
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let base = graph::topology::random_connected(n, extra, &mut rng);
-        let mut cache = IncrementalDecomposition::new(&base);
-        let mut dense = OnlineSession::new(cache.decomposition(), n);
-        let mut tree = GenericOnlineSession::<TreeClock>::new(cache.decomposition(), n);
-        // The fixed backend rides along while the dimension fits its lanes
-        // (it always does at these sizes before the remap; the remap may
-        // push it out, in which case it bows out typed).
-        let mut fixed = GenericOnlineSession::<FixedArray16>::try_new(cache.decomposition(), n).ok();
-
-        let stamp_all = |dense: &mut OnlineSession,
-                             tree: &mut GenericOnlineSession<TreeClock>,
-                             fixed: &mut Option<GenericOnlineSession<FixedArray16>>,
-                             g: &Graph,
-                             rng: &mut StdRng|
-         -> Result<(), TestCaseError> {
-            let edges: Vec<Edge> = g.edges().collect();
-            let e = edges[rng.gen_range(0..edges.len())];
-            let (s, r) = if rng.gen::<bool>() {
-                (e.lo(), e.hi())
-            } else {
-                (e.hi(), e.lo())
-            };
-            let t = dense.stamp(s, r).expect("channel is in the decomposition");
-            let t_tree = tree.stamp(s, r).expect("sessions share the decomposition");
-            prop_assert_eq!(&t, &t_tree, "tree session diverged at stamp {}", dense.stamped());
-            if let Some(f) = fixed {
-                let t_fixed = f.stamp(s, r).expect("sessions share the decomposition");
-                prop_assert_eq!(&t, &t_fixed, "fixed session diverged at stamp {}", dense.stamped());
-            }
-            Ok(())
-        };
-
-        for _ in 0..prefix {
-            let g = cache.graph().clone();
-            stamp_all(&mut dense, &mut tree, &mut fixed, &g, &mut rng)?;
-        }
-
-        let existing: Vec<Edge> = cache.graph().edges().collect();
-        prop_assume!(existing.len() > 1);
-        let e = existing[rng.gen_range(0..existing.len())];
-        let remap = cache.remove_edge(e.lo(), e.hi()).unwrap();
-        dense.reconfigure(cache.decomposition(), &remap).unwrap();
-        tree.reconfigure(cache.decomposition(), &remap).unwrap();
-        if let Some(f) = &mut fixed {
-            // A remap that grows past the fixed lanes fails typed; the
-            // session is then out of the comparison, not silently wrong.
-            if f.reconfigure(cache.decomposition(), &remap).is_err() {
-                fixed = None;
-            }
-        }
-
-        for _ in 0..suffix {
-            let g = cache.graph().clone();
-            stamp_all(&mut dense, &mut tree, &mut fixed, &g, &mut rng)?;
-        }
     }
 }

@@ -5,7 +5,7 @@
 use std::time::{Duration, Instant};
 
 use synctime::prelude::*;
-use synctime::runtime::{Matcher, RunStats, RuntimeError, WaitOp};
+use synctime::runtime::{RunStats, RuntimeError, WaitOp};
 use synctime_graph::{decompose, topology};
 
 /// A deliberately deadlocked 2-process program: both sides block in
@@ -121,44 +121,30 @@ fn partial_deadlock_is_diagnosed_despite_live_bystander() {
     assert!(!diagnosis.cycle.contains(&0), "P0 was never waiting");
 }
 
-/// Both matchers produce the same computation; the parking matcher's stats
-/// expose the wakeup path it actually took.
+/// Blocked endpoints park on their channel slot, and the stats expose the
+/// wakeup path they actually took.
 #[test]
-fn matchers_agree_and_parking_reports_wakeups() {
+fn parking_reports_wakeups() {
     let topo = topology::cycle(3);
     let dec = decompose::best_known(&topo);
-    let behaviors = |rounds: u64| -> Vec<Behavior> {
-        (0..3)
-            .map(|p| -> Behavior {
-                Box::new(move |ctx| {
-                    for i in 0..rounds {
-                        if p == 0 {
-                            ctx.send(1, i)?;
-                            ctx.receive_from(2)?;
-                        } else {
-                            let (t, _) = ctx.receive_from(p - 1)?;
-                            ctx.send((p + 1) % 3, t)?;
-                        }
+    let behaviors: Vec<Behavior> = (0..3)
+        .map(|p| -> Behavior {
+            Box::new(move |ctx| {
+                for i in 0..20 {
+                    if p == 0 {
+                        ctx.send(1, i)?;
+                        ctx.receive_from(2)?;
+                    } else {
+                        let (t, _) = ctx.receive_from(p - 1)?;
+                        ctx.send((p + 1) % 3, t)?;
                     }
-                    Ok(())
-                })
+                }
+                Ok(())
             })
-            .collect()
-    };
-    let parking = Runtime::new(&topo, &dec)
-        .with_matcher(Matcher::Parking)
-        .run(behaviors(20))
-        .unwrap();
-    let polling = Runtime::new(&topo, &dec)
-        .with_matcher(Matcher::Polling)
-        .run(behaviors(20))
-        .unwrap();
+        })
+        .collect();
+    let parking = Runtime::new(&topo, &dec).run(behaviors).unwrap();
     assert_eq!(parking.stats().messages, 60);
-    assert_eq!(polling.stats().messages, 60);
-    // Identical stamps from identical computations, whatever the matcher.
-    let (_, parking_stamps) = parking.reconstruct().unwrap();
-    let (_, polling_stamps) = polling.reconstruct().unwrap();
-    assert_eq!(parking_stamps.vectors(), polling_stamps.vectors());
     let s = parking.stats();
     assert!(s.wakeups > 0, "a ring must park at least once");
     assert!(s.wakeup_p50_ns <= s.wakeup_p99_ns);
